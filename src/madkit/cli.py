@@ -278,15 +278,13 @@ def _emit(payload: dict | list, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_scores_csv(path, result) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "score", "flag"])
-        flags = result.flags.labels
-        for i, s in enumerate(result.scores):
-            writer.writerow(
-                [i + result.time_offset, repr(float(s)), int(flags[i])]
-            )
+def _write_scores_csv(fh, result) -> None:
+    """Write ``timestamp,score,flag`` rows to an open text file."""
+    writer = csv.writer(fh)
+    writer.writerow(["timestamp", "score", "flag"])
+    flags = result.flags.labels
+    for i, s in enumerate(result.scores):
+        writer.writerow([i + result.time_offset, repr(float(s)), int(flags[i])])
 
 
 def _read_label_column(path, column: str) -> np.ndarray:
@@ -325,7 +323,10 @@ def _cmd_detect(options: dict) -> int:
     if options.get("model-out"):
         save_model(model, options["model-out"])
     if options.get("scores-out"):
-        _write_scores_csv(options["scores-out"], result)
+        with open(
+            options["scores-out"], "w", newline="", encoding="utf-8"
+        ) as fh:
+            _write_scores_csv(fh, result)
     if options.get("intervals-out"):
         with open(
             options["intervals-out"], "w", newline="", encoding="utf-8"
@@ -504,13 +505,10 @@ def _cmd_score(options: dict) -> int:
     result, _ = apply_detector(model, matrix)
     out = options.get("out")
     if out:
-        _write_scores_csv(out, result)
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            _write_scores_csv(fh, result)
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["timestamp", "score", "flag"])
-        flags = result.flags.labels
-        for i, s in enumerate(result.scores):
-            writer.writerow([i + result.time_offset, repr(float(s)), int(flags[i])])
+        _write_scores_csv(sys.stdout, result)
     return EXIT_CODES["ok"]
 
 

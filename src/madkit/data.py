@@ -10,6 +10,7 @@ text file and reloaded without losing precision.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -224,36 +225,61 @@ class DetectorModel:
 # delimited text ingestion
 
 
-def _parse_rows(rows, names, path, first_data_line):
-    """Convert string rows to a float64 matrix with located errors."""
-    width = len(names)
-    for r, row in enumerate(rows):
+def _check_widths(rows, lines, width, path):
+    """Reject a row whose field count differs from the header's."""
+    for row, line in zip(rows, lines):
         if len(row) != width:
             raise CsvFormatError(
-                f"{path}: line {first_data_line + r} has {len(row)} fields, "
-                f"expected {width}"
+                f"{path}: line {line} has {len(row)} fields, expected {width}"
             )
+
+
+def _parse_cells(rows, lines, names, path):
+    """Convert equal-width string rows to a float64 matrix with located
+    errors; ``rows[r]`` came from line ``lines[r]`` of the file."""
     try:
         values = np.array(rows, dtype=np.float64)
     except ValueError:
         # slow path only to name the offending cell
-        for r, row in enumerate(rows):
+        for row, line in zip(rows, lines):
             for c, cell in enumerate(row):
                 try:
                     float(cell)
                 except ValueError:
                     raise CsvFormatError(
-                        f"{path}: line {first_data_line + r}, column "
-                        f"{names[c]!r}: cannot parse {cell!r} as a real"
+                        f"{path}: line {line}, column {names[c]!r}: "
+                        f"cannot parse {cell!r} as a real"
                     ) from None
         raise
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, c = bad[0]
         raise CsvFormatError(
-            f"{path}: line {first_data_line + r}, column {names[c]!r}: "
-            f"non-finite value"
+            f"{path}: line {lines[r]}, column {names[c]!r}: non-finite value"
         )
+    return values
+
+
+def _read_body_fast(fh, width: int) -> np.ndarray | None:
+    """Parse the rest of ``fh`` with numpy's C reader.
+
+    Returns the ``(T, width)`` body, or ``None`` when the csv-module path
+    must decide instead: a cell numpy will not read (quoted, ``1_0``,
+    Unicode digits, empty), a ragged or empty body, or a non-finite value.
+    Every body this accepts, that path reads to the same bits.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "no data"
+            values = np.loadtxt(
+                fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2
+            )
+    except ValueError:
+        return None
+    if values.shape[0] == 0 or values.shape[1] != width:
+        return None
+    if not np.isfinite(values).all():
+        return None
     return values
 
 
@@ -274,6 +300,14 @@ def load_csv(
     Returns
     -------
     (SeriesMatrix, LabelVector or None)
+
+    Notes
+    -----
+    A file without a label column is first parsed by ``np.loadtxt``.  Any
+    body it does not accept outright, and every file with a label column,
+    goes through the ``csv`` module, which names the offending line and
+    cell.  Error messages give the file's own line numbers, blank lines
+    included.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -282,23 +316,35 @@ def load_csv(
             header = next(reader)
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
-    if len(set(header)) != len(header):
-        dupes = sorted({h for h in header if header.count(h) > 1})
-        raise CsvFormatError(f"{path}: duplicate header names {dupes}")
+        if len(set(header)) != len(header):
+            dupes = sorted({h for h in header if header.count(h) > 1})
+            raise CsvFormatError(f"{path}: duplicate header names {dupes}")
+        if label_column is None:
+            values = _read_body_fast(fh, len(header))
+            if values is not None:
+                return SeriesMatrix(names=header, values=values.T), None
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
+    if label_column is not None and label_column not in header:
+        raise CsvFormatError(f"{path}: no column named {label_column!r}")
+    _check_widths(rows, lines, len(header), path)
 
     labels = None
     if label_column is not None:
-        if label_column not in header:
-            raise CsvFormatError(f"{path}: no column named {label_column!r}")
         li = header.index(label_column)
         raw = [row[li] for row in rows]
-        for r, cell in enumerate(raw):
+        for cell, line in zip(raw, lines):
             if cell not in ("0", "1"):
                 raise CsvFormatError(
-                    f"{path}: line {r + 2}, column {label_column!r}: label "
+                    f"{path}: line {line}, column {label_column!r}: label "
                     f"must be '0' or '1', got {cell!r}"
                 )
         labels = LabelVector(
@@ -307,7 +353,7 @@ def load_csv(
         header = header[:li] + header[li + 1 :]
         rows = [row[:li] + row[li + 1 :] for row in rows]
 
-    values = _parse_rows(rows, header, path, first_data_line=2)
+    values = _parse_cells(rows, lines, header, path)
     matrix = SeriesMatrix(names=header, values=values.T)
     return matrix, labels
 
@@ -320,18 +366,20 @@ def load_headerless(path, name_prefix: str = "v") -> SeriesMatrix:
     ``v1 .. vn`` by column position.
     """
     path = Path(path)
-    rows = []
+    rows, lines = [], []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             normalized = line.replace("\t", ",").replace(" ", ",")
             rows.append([c for c in normalized.split(",") if c != ""])
+            lines.append(number)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     names = [f"{name_prefix}{i + 1}" for i in range(len(rows[0]))]
-    values = _parse_rows(rows, names, path, first_data_line=1)
+    _check_widths(rows, lines, len(names), path)
+    values = _parse_cells(rows, lines, names, path)
     return SeriesMatrix(names=names, values=values.T)
 
 

@@ -214,6 +214,139 @@ def test_csv_missing_label_column(tmp_path):
         load_csv(path, label_column="label")
 
 
+# (file text, label column, expected): the names and the rows of values in
+# file order, or the exception type and its message, which every
+# CsvFormatError prefixes with "{path}: "
+CSV_CORPUS = {
+    "blank_lines": ("a,b\n\n1,2\n\n3,4\n\n", None, (["a", "b"], [[1, 2], [3, 4]])),
+    "whitespace_line": (
+        "a,b\n1,2\n   \n3,4\n", None,
+        (CsvFormatError, "line 3 has 1 fields, expected 2"),
+    ),
+    "whitespace_line_one_column": (
+        "a\n1\n  \n3\n", None,
+        (CsvFormatError, "line 3, column 'a': cannot parse '  ' as a real"),
+    ),
+    "hash_line": (
+        "a,b\n1,2\n# note\n3,4\n", None,
+        (CsvFormatError, "line 3 has 1 fields, expected 2"),
+    ),
+    "hash_cell": (
+        "a\n1\n#2\n", None,
+        (CsvFormatError, "line 3, column 'a': cannot parse '#2' as a real"),
+    ),
+    "hash_header": ("#a,b\n1,2\n3,4\n", None, (["#a", "b"], [[1, 2], [3, 4]])),
+    "crlf": ("a,b\r\n1,2\r\n3,4\r\n", None, (["a", "b"], [[1, 2], [3, 4]])),
+    "bare_cr": ("a,b\r1,2\r3,4\r", None, (["a", "b"], [[1, 2], [3, 4]])),
+    "no_final_newline": ("a,b\n1,2\n3,4", None, (["a", "b"], [[1, 2], [3, 4]])),
+    "quoted_cells": ('"a","b"\n1,"2"\n"3",4\n', None, (["a", "b"], [[1, 2], [3, 4]])),
+    "underscore_digits": ("a\n1_0\n2\n", None, (["a"], [[10], [2]])),
+    "padded_cells": ("a,b\n 1 ,2\n3,\t4\n", None, (["a", "b"], [[1, 2], [3, 4]])),
+    "plus_sign": ("a\n+1\n-2\n", None, (["a"], [[1], [-2]])),
+    "unicode_digits": ("a\n\u0661\n\uff12\n", None, (["a"], [[1], [2]])),
+    "nan": (
+        "a,b\n1,2\nnan,4\n", None,
+        (CsvFormatError, "line 3, column 'a': non-finite value"),
+    ),
+    "inf": (
+        "a,b\n1,-inf\n3,4\n", None,
+        (CsvFormatError, "line 2, column 'b': non-finite value"),
+    ),
+    "overflow": (
+        "a\n1\n1e400\n", None,
+        (CsvFormatError, "line 3, column 'a': non-finite value"),
+    ),
+    "empty_cell": (
+        "a,b,c\n1,,3\n4,5,6\n", None,
+        (CsvFormatError, "line 2, column 'b': cannot parse '' as a real"),
+    ),
+    "trailing_comma": (
+        "a,b\n1,2,\n3,4,\n", None,
+        (CsvFormatError, "line 2 has 3 fields, expected 2"),
+    ),
+    "single_data_row": (
+        "a,b\n1,2\n", None, (ValueError, "need at least two observations"),
+    ),
+    "duplicate_header": (
+        "a,b,a\n1,2,3\n4,5,6\n", None,
+        (CsvFormatError, "duplicate header names ['a']"),
+    ),
+    "one_column": ("a\n1\n2\n", None, (["a"], [[1], [2]])),
+    "header_only": ("a,b\n\n", None, (CsvFormatError, "no data rows")),
+    "header_only_one_column": ("a\n", None, (CsvFormatError, "no data rows")),
+    "every_row_too_wide": (
+        "a,b\n1,2,3\n4,5,6\n", None,
+        (CsvFormatError, "line 2 has 3 fields, expected 2"),
+    ),
+    "bad_cell_after_blank_lines": (
+        "a,b\n1,2\n\n\n3,x\n", None,
+        (CsvFormatError, "line 5, column 'b': cannot parse 'x' as a real"),
+    ),
+    "ragged_row_after_blank_lines": (
+        "a,b\n1,2\n\n\n3\n", None,
+        (CsvFormatError, "line 5 has 1 fields, expected 2"),
+    ),
+    "bad_label_after_blank_lines": (
+        "a,label\n1,0\n\n\n3,2\n", "label",
+        (CsvFormatError, "line 5, column 'label': label must be '0' or '1', got '2'"),
+    ),
+    "short_row_before_label": (
+        "a,b,label\n1,2,0\n3\n", "label",
+        (CsvFormatError, "line 3 has 1 fields, expected 3"),
+    ),
+    "label_column_split_off": (
+        "a,label,b\n1,0,2\n3,1,4\n", "label", (["a", "b"], [[1, 2], [3, 4]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CORPUS))
+def test_csv_corpus(tmp_path, case):
+    text, label_column, expected = CSV_CORPUS[case]
+    path = tmp_path / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if not isinstance(expected[0], list):
+        kind, message = expected
+        with pytest.raises(kind) as info:
+            load_csv(path, label_column=label_column)
+        prefix = f"{path}: " if kind is CsvFormatError else ""
+        assert str(info.value) == prefix + message
+        return
+    names, rows = expected
+    matrix, labels = load_csv(path, label_column=label_column)
+    assert matrix.names == names
+    assert np.array_equal(matrix.values, np.array(rows, dtype=float).T)
+    assert (labels is None) == (label_column is None)
+
+
+def test_csv_reals_keep_every_bit(tmp_path):
+    # the same bits whichever parser reads the body: "1_0" sends the
+    # second file through the csv module
+    cells = ["0.1", "5e-324", "-0.0", "1.7976931348623157e308", "2.2e-308"]
+    want = np.array([float(c) for c in cells])
+    for extra in ("7", "1_0"):
+        path = tmp_path / f"bits_{extra}.csv"
+        path.write_text("a\n" + "\n".join(cells + [extra]) + "\n", encoding="utf-8")
+        got = load_csv(path)[0].values[0, :-1]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), extra
+
+
+def test_csv_values_are_column_major(tmp_path):
+    # downstream matrix products see the same layout whichever parser ran
+    for cell in ("7", "1_0"):
+        path = tmp_path / "layout.csv"
+        path.write_text(f"a,b\n1,2\n3,{cell}\n", encoding="utf-8")
+        assert load_csv(path)[0].values.flags.f_contiguous
+
+
+def test_headerless_errors_give_file_line_numbers(tmp_path):
+    path = tmp_path / "plain.txt"
+    path.write_text("1,2\n\n3,x\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError) as info:
+        load_headerless(path)
+    assert str(info.value) == f"{path}: line 3, column 'v2': cannot parse 'x' as a real"
+
+
 def test_headerless_loader_handles_tabs_and_spaces(tmp_path):
     path = tmp_path / "plain.txt"
     path.write_text("1.0\t2.0\n3.0 4.0\n5.0,6.0\n", encoding="utf-8")

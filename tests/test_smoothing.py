@@ -1,7 +1,10 @@
 """Moving-window filters: frozen examples and brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from madkit.data import SeriesMatrix
 from madkit.smoothing import SmoothConfig, align_labels, smooth_matrix, smooth_series
@@ -19,6 +22,13 @@ def brute_smooth(x, h, kind):
         else:
             out.append((window[h // 2 - 1] + window[h // 2]) / 2.0)
     return np.array(out)
+
+
+def median_oracle(values, h):
+    """The windowed ``np.median`` the rank-filter median replaced."""
+    if h == 1:
+        return values.copy()
+    return np.median(sliding_window_view(values, h, axis=-1), axis=-1)
 
 
 def test_median_frozen_example():
@@ -143,3 +153,56 @@ def test_effective_length_bookkeeping():
     b = smooth_series(rng.standard_normal(50), SmoothConfig(10, "median"))
     assert a.size == 91
     assert b.size == 41
+
+
+def test_median_matches_np_median_oracle_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for h in range(1, 42):
+        for t in (h, h + 1, 500):
+            blocks = (
+                rng.standard_normal((3, t)),
+                rng.integers(0, 3, (3, t)).astype(float),  # heavy ties
+                rng.choice([-0.0, 0.0, 1.0, -1.0], (3, t)),  # signed zeros
+            )
+            for block in blocks:
+                for values in (np.ascontiguousarray(block), np.asfortranarray(block)):
+                    want = median_oracle(values, h)
+                    config = SmoothConfig(h, "median")
+                    got = [np.stack([smooth_series(row, config) for row in values])]
+                    if t - h + 1 >= 2:  # a SeriesMatrix needs two columns
+                        m = SeriesMatrix(["a", "b", "c"], values)
+                        got.append(smooth_matrix(m, config).values)
+                    for out in got:
+                        assert np.array_equal(out, want), (h, t)
+                        assert np.array_equal(np.signbit(out), np.signbit(want)), (h, t)
+
+
+def test_median_keeps_the_input_memory_order():
+    # later matrix products must see the layout np.median gave them
+    block = np.random.default_rng(3).standard_normal((4, 50))
+    for values in (np.ascontiguousarray(block), np.asfortranarray(block)):
+        m = SeriesMatrix(["a", "b", "c", "d"], values)
+        out = smooth_matrix(m, SmoothConfig(20, "median")).values
+        want = median_oracle(values, 20)
+        assert out.flags.c_contiguous == want.flags.c_contiguous
+        assert out.flags.f_contiguous == want.flags.f_contiguous
+
+
+def test_median_rejects_nan():
+    x = np.array([1.0, np.nan, 3.0, 2.0])
+    with pytest.raises(ValueError, match="NaN"):
+        smooth_series(x, SmoothConfig(3, "median"))
+
+
+def test_median_memory_stays_near_the_output_size():
+    # a window copy per output cell would need h times the output; the
+    # input is column-major, as load_csv returns it
+    values = np.random.default_rng(8).standard_normal((28_479, 38)).T
+    m = SeriesMatrix([f"v{i}" for i in range(38)], values)
+    tracemalloc.start()
+    try:
+        out = smooth_matrix(m, SmoothConfig(20, "median"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.values.nbytes, peak / out.values.nbytes
