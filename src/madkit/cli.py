@@ -23,9 +23,9 @@ import numpy as np
 
 from .data import (
     CsvFormatError,
-    LabelVector,
     ModelFormatError,
     load_csv,
+    load_labels,
     load_model,
     save_csv,
     save_model,
@@ -43,26 +43,6 @@ from .pipeline import (
 from .smoothing import SmoothConfig, align_labels
 from .synthetic import AnomalySpec, CollinearGroup, SynthConfig, generate
 from .thresholds import ThresholdSpec
-
-_STEP_DEFAULTS = {
-    "smooth-window": 1,
-    "smooth-kind": "median",
-    "vif-threshold": 5.0,
-    "threshold": "mvt",
-    "pot-q": 0.001,
-    "pot-percentile": 0.99,
-    "chi2-alpha": 0.01,
-}
-
-_EXPLAIN_DEFAULTS = {
-    "importance": "rf",
-    "rf-trees": 100,
-    "rf-seed": 0,
-    "step5-window": None,
-    "step5-extra": 1000,
-    "step5-features": "smoothed",
-    "top": 5,
-}
 
 
 def main(argv=None) -> int:
@@ -148,8 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="compare predictions against truth")
     p.add_argument("--pred", required=True, help="CSV holding predictions")
     p.add_argument("--truth", required=True, help="CSV holding ground truth")
-    p.add_argument("--pred-column", default="flag")
-    p.add_argument("--truth-column", default="label")
+    p.add_argument("--pred-column", help="0/1 column of --pred (default flag)")
+    p.add_argument("--truth-column", help="0/1 column of --truth (default label)")
     p.add_argument(
         "--smooth-window",
         type=int,
@@ -219,46 +199,44 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return options
 
 
-def _get(options: dict, key: str, defaults: dict | None = None):
-    value = options.get(key)
-    if value is None and defaults is not None:
-        value = defaults.get(key)
-    return value
-
-
 def _pipeline_config(options: dict) -> PipelineConfig:
-    def step(key):
-        return _get(options, key, _STEP_DEFAULTS)
+    """Run configuration from the options that were given; every default
+    comes from ``PipelineConfig``, ``SmoothConfig`` and ``ThresholdSpec``."""
 
-    def explain(key):
-        return _get(options, key, _EXPLAIN_DEFAULTS)
+    def given(**fields):
+        return {k: v for k, v in fields.items() if v is not None}
 
-    window = explain("step5-window")
+    get = options.get
+    window = get("step5-window")
     if isinstance(window, str):
         window = _parse_window(window)
     return PipelineConfig(
-        train=options.get("train"),
-        test=options.get("test"),
-        data=options.get("data"),
-        train_end=options.get("train-end"),
-        label_column=options.get("label-column"),
-        smooth=SmoothConfig(h=step("smooth-window"), kind=step("smooth-kind")),
-        vif_threshold=step("vif-threshold"),
+        smooth=SmoothConfig(**given(h=get("smooth-window"), kind=get("smooth-kind"))),
         threshold=ThresholdSpec(
-            kind=step("threshold"),
-            q=step("pot-q"),
-            percentile=step("pot-percentile"),
-            alpha=step("chi2-alpha"),
+            **given(
+                kind=get("threshold"),
+                q=get("pot-q"),
+                percentile=get("pot-percentile"),
+                alpha=get("chi2-alpha"),
+            )
         ),
-        importance=explain("importance") or "rf",
-        rf_trees=explain("rf-trees") or 100,
-        rf_seed=explain("rf-seed") if explain("rf-seed") is not None else 0,
-        step5_window=window,
-        step5_extra=explain("step5-extra"),
-        step5_features=explain("step5-features"),
-        top=explain("top"),
-        min_cluster_len=options.get("min-cluster-len") or 1,
-        seed=options.get("seed") or 0,
+        **given(
+            train=get("train"),
+            test=get("test"),
+            data=get("data"),
+            train_end=get("train-end"),
+            label_column=get("label-column"),
+            vif_threshold=get("vif-threshold"),
+            importance=get("importance"),
+            rf_trees=get("rf-trees"),
+            rf_seed=get("rf-seed"),
+            step5_window=window,
+            step5_extra=get("step5-extra"),
+            step5_features=get("step5-features"),
+            top=get("top"),
+            min_cluster_len=get("min-cluster-len"),
+            seed=get("seed"),
+        ),
     )
 
 
@@ -285,32 +263,6 @@ def _write_scores_csv(fh, result) -> None:
     flags = result.flags.labels
     for i, s in enumerate(result.scores):
         writer.writerow([i + result.time_offset, repr(float(s)), int(flags[i])])
-
-
-def _read_label_column(path, column: str) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        if column not in header:
-            raise CsvFormatError(f"{path}: no column named {column!r}")
-        ci = header.index(column)
-        out = []
-        for r, row in enumerate(reader):
-            if not row:
-                continue
-            cell = row[ci]
-            if cell not in ("0", "1"):
-                raise CsvFormatError(
-                    f"{path}: line {r + 2}, column {column!r}: label must be "
-                    f"'0' or '1', got {cell!r}"
-                )
-            out.append(int(cell))
-    if not out:
-        raise CsvFormatError(f"{path}: no data rows")
-    return np.array(out, dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +342,10 @@ def _cmd_explain(options: dict) -> int:
 
 
 def _cmd_evaluate(options: dict) -> int:
-    pred = _read_label_column(options["pred"], options.get("pred-column") or "flag")
-    truth = _read_label_column(
-        options["truth"], options.get("truth-column") or "label"
-    )
-    h = options.get("smooth-window") or 1
-    if h > 1:
-        truth = align_labels(truth, h)
+    cfg = _pipeline_config(options)
+    pred = load_labels(options["pred"], options["pred-column"] or "flag")
+    truth = load_labels(options["truth"], options["truth-column"] or "label")
+    truth = align_labels(truth, cfg.smooth.h)
     if pred.size != truth.size:
         raise PipelineError(
             "evaluate",
@@ -405,7 +354,7 @@ def _cmd_evaluate(options: dict) -> int:
                 f"truth length {truth.size}"
             ),
         )
-    block = run_evaluate(pred, truth, options.get("min-cluster-len") or 1)
+    block = run_evaluate(pred, truth, cfg.min_cluster_len)
     _emit(block, options.get("out"))
     return EXIT_CODES["ok"]
 

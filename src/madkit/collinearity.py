@@ -36,12 +36,16 @@ class VifReport:
 
     ``removed`` lists ``(original_index, vif_at_removal)`` in removal order;
     ``retained`` lists surviving original indices in their original order;
-    ``final_vifs`` are the VIFs of the retained set.
+    ``final_vifs`` are the VIFs of the retained set.  ``centered`` and
+    ``means`` are the mean-subtracted input block (all variables) and its
+    per-variable means, as :func:`center` returns them.
     """
 
     removed: list[tuple[int, float]]
     retained: list[int]
     final_vifs: np.ndarray
+    centered: np.ndarray
+    means: np.ndarray
 
     def __post_init__(self):
         self.final_vifs = np.asarray(self.final_vifs, dtype=np.float64)
@@ -96,11 +100,12 @@ def vif_prune(matrix, vif_threshold: float = 5.0) -> VifReport:
 
     Ties on the largest VIF are broken toward the lowest original index.
     Each iteration recomputes VIFs for the surviving set; because scales are
-    per-variable, this equals re-deriving them from the reduced data.
+    per-variable, this equals re-deriving them from the reduced data.  The
+    report carries the centered input, so callers need not center again.
     """
     if not vif_threshold > 1.0:
         raise ValueError("vif_threshold must exceed 1 (VIFs are never below 1)")
-    centered, _ = center(matrix)
+    centered, means = center(matrix)
     n = centered.shape[0]
 
     gram = _scaled_gram(centered)
@@ -117,7 +122,7 @@ def vif_prune(matrix, vif_threshold: float = 5.0) -> VifReport:
             break
         removed.append((alive[worst], float(vifs[worst])))
         alive.pop(worst)
-    return VifReport(removed=removed, retained=alive, final_vifs=final)
+    return VifReport(removed, alive, final, centered, means)
 
 
 def _values_and_names(matrix):

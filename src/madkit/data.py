@@ -10,13 +10,17 @@ text file and reloaded without losing precision.
 from __future__ import annotations
 
 import csv
+import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-MODEL_FORMAT_HEADER = "madkit-model v1"
+from .scoring import ScatterFit, SingularCovarianceError
+
+MODEL_FORMAT_HEADER = "madkit-model v2"
+_MODEL_FORMAT_V1 = "madkit-model v1"  # no names line; still loads
 
 THRESHOLD_KINDS = ("mvt", "pot", "chi2")
 FILTER_KINDS = ("mean", "median")
@@ -109,7 +113,6 @@ class LabelVector:
     """A 0/1 integer label per timestamp of some :class:`SeriesMatrix`."""
 
     labels: np.ndarray
-    aligned_to: str = ""
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels)
@@ -171,27 +174,24 @@ class GpdParameters:
 class DetectorModel:
     """Everything needed to score and flag new data.
 
-    ``retained`` indexes into the original variable order; ``mu``, ``sigma``
-    and ``sigma_chol`` are in the reduced (retained) order.  ``vif_trace``
-    records the removed variables as ``(original_index, vif_at_removal)``
-    pairs, in removal order.
+    ``retained`` indexes into the original variable order; ``scatter``
+    is in the reduced (retained) order.  ``vif_trace`` records the removed
+    variables as ``(original_index, vif_at_removal)`` pairs, in removal
+    order.  ``names`` are the fitted data's variable names in original
+    order, or ``None`` when unknown (a model read from a v1 file).
     """
 
     retained: list[int]
     h: int
     filter_kind: str
-    mu: np.ndarray
-    sigma: np.ndarray
-    sigma_chol: np.ndarray
+    scatter: ScatterFit
     threshold_kind: str
     k: float
     gpd: GpdParameters | None = None
     vif_trace: list[tuple[int, float]] = field(default_factory=list)
+    names: list[str] | None = None
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.sigma = np.asarray(self.sigma, dtype=np.float64)
-        self.sigma_chol = np.asarray(self.sigma_chol, dtype=np.float64)
         m = len(self.retained)
         if m < 1:
             raise ValueError("model must retain at least one variable")
@@ -203,10 +203,8 @@ class DetectorModel:
             raise ValueError(f"filter_kind must be one of {FILTER_KINDS}")
         if self.threshold_kind not in THRESHOLD_KINDS:
             raise ValueError(f"threshold_kind must be one of {THRESHOLD_KINDS}")
-        if self.mu.shape != (m,):
-            raise ValueError("mu length must match retained count")
-        if self.sigma.shape != (m, m) or self.sigma_chol.shape != (m, m):
-            raise ValueError("sigma and sigma_chol must be m x m")
+        if self.scatter.m != m:
+            raise ValueError("scatter size must match retained count")
         if not self.k > 0:
             raise ValueError("threshold k must be positive")
         if self.threshold_kind == "pot" and self.gpd is None:
@@ -214,6 +212,12 @@ class DetectorModel:
         removed = [i for i, _ in self.vif_trace]
         if set(removed) & set(self.retained):
             raise ValueError("removed and retained variables overlap")
+        if self.names is not None and not (
+            isinstance(self.names, list)
+            and len(self.names) == self.n_original
+            and all(isinstance(name, str) for name in self.names)
+        ):
+            raise ValueError("names must list one string per original variable")
 
     @property
     def n_original(self) -> int:
@@ -223,6 +227,34 @@ class DetectorModel:
 
 # ---------------------------------------------------------------------------
 # delimited text ingestion
+
+
+def _read_header(reader, path) -> list[str]:
+    """The header row of a CSV; it must exist and repeat no name."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError(f"{path}: empty file") from None
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise CsvFormatError(f"{path}: duplicate header names {dupes}")
+    return header
+
+
+def _column_index(header, column, path) -> int:
+    if column not in header:
+        raise CsvFormatError(f"{path}: no column named {column!r}")
+    return header.index(column)
+
+
+def _check_labels(cells, lines, column, path):
+    """Reject a label cell that is not exactly ``"0"`` or ``"1"``."""
+    for cell, line in zip(cells, lines):
+        if cell not in ("0", "1"):
+            raise CsvFormatError(
+                f"{path}: line {line}, column {column!r}: label "
+                f"must be '0' or '1', got {cell!r}"
+            )
 
 
 def _check_widths(rows, lines, width, path):
@@ -312,13 +344,7 @@ def load_csv(
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise CsvFormatError(f"{path}: duplicate header names {dupes}")
+        header = _read_header(reader, path)
         if label_column is None:
             values = _read_body_fast(fh, len(header))
             if values is not None:
@@ -333,29 +359,47 @@ def load_csv(
                 lines.append(reader.line_num)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    if label_column is not None and label_column not in header:
-        raise CsvFormatError(f"{path}: no column named {label_column!r}")
+    if label_column is not None:
+        li = _column_index(header, label_column, path)
     _check_widths(rows, lines, len(header), path)
 
     labels = None
     if label_column is not None:
-        li = header.index(label_column)
         raw = [row[li] for row in rows]
-        for cell, line in zip(raw, lines):
-            if cell not in ("0", "1"):
-                raise CsvFormatError(
-                    f"{path}: line {line}, column {label_column!r}: label "
-                    f"must be '0' or '1', got {cell!r}"
-                )
-        labels = LabelVector(
-            np.array(raw, dtype=np.int8), aligned_to=str(path)
-        )
+        _check_labels(raw, lines, label_column, path)
+        labels = LabelVector(np.array(raw, dtype=np.int8))
         header = header[:li] + header[li + 1 :]
         rows = [row[:li] + row[li + 1 :] for row in rows]
 
     values = _parse_cells(rows, lines, header, path)
     matrix = SeriesMatrix(names=header, values=values.T)
     return matrix, labels
+
+
+def load_labels(path, column: str) -> np.ndarray:
+    """Read the 0/1 column ``column`` of a header-bearing CSV as int8.
+
+    The header, row widths and label cells get :func:`load_csv`'s checks
+    and messages; the other columns are not parsed.
+    """
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(reader, path)
+        ci = _column_index(header, column, path)
+        width = len(header)
+        labels = bytearray()
+        # one test per good row; the shared checks run only on a bad one
+        for row in reader:
+            if len(row) != width or row[ci] not in ("0", "1"):
+                if not row:
+                    continue
+                _check_widths([row], [reader.line_num], width, path)
+                _check_labels([row[ci]], [reader.line_num], column, path)
+            labels.append(row[ci] == "1")
+    if not labels:
+        raise CsvFormatError(f"{path}: no data rows")
+    return np.frombuffer(labels, dtype=np.int8)
 
 
 def load_headerless(path, name_prefix: str = "v") -> SeriesMatrix:
@@ -436,13 +480,14 @@ def save_model(model: DetectorModel, path) -> None:
     lines.append(f"h: {model.h}")
     lines.append(f"filter_kind: {model.filter_kind}")
     lines.append("k: " + _REAL % model.k)
+    lines.append("names: " + json.dumps(model.names))  # JSON: commas survive
     lines.append("retained: " + ",".join(str(i) for i in model.retained))
     trace = ";".join(f"{i}," + _REAL % v for i, v in model.vif_trace)
     lines.append("vif_trace: " + trace)
-    lines.append("mu: " + _fmt_reals(model.mu))
+    lines.append("mu: " + _fmt_reals(model.scatter.mu))
     m = len(model.retained)
     lines.append(f"sigma_rows: {m}")
-    for row in model.sigma:
+    for row in model.scatter.sigma:
         lines.append(_fmt_reals(row))
     if model.gpd is not None:
         g = model.gpd
@@ -468,7 +513,7 @@ def _take(lines, key: str, path) -> str:
 
 
 def load_model(path) -> DetectorModel:
-    """Load a model written by :func:`save_model`."""
+    """Load a model written by :func:`save_model`; v1 files have no names."""
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
@@ -478,7 +523,7 @@ def load_model(path) -> DetectorModel:
     if not lines:
         raise ModelFormatError(f"{path}: empty model file")
     header = lines.pop(0)
-    if header != MODEL_FORMAT_HEADER:
+    if header not in (MODEL_FORMAT_HEADER, _MODEL_FORMAT_V1):
         raise ModelFormatError(
             f"{path}: unsupported model format {header!r}, "
             f"expected {MODEL_FORMAT_HEADER!r}"
@@ -488,6 +533,9 @@ def load_model(path) -> DetectorModel:
         h = int(_take(lines, "h", path))
         filter_kind = _take(lines, "filter_kind", path)
         k = float(_take(lines, "k", path))
+        names = None
+        if header == MODEL_FORMAT_HEADER:
+            names = json.loads(_take(lines, "names", path))
         retained_text = _take(lines, "retained", path)
         retained = [int(c) for c in retained_text.split(",") if c != ""]
         trace_text = _take(lines, "vif_trace", path)
@@ -521,23 +569,20 @@ def load_model(path) -> DetectorModel:
             raise
         raise ModelFormatError(f"{path}: corrupted model file: {exc}") from exc
     try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise ModelFormatError(
-            f"{path}: stored sigma is not positive definite"
-        ) from exc
-    try:
         return DetectorModel(
             retained=retained,
             h=h,
             filter_kind=filter_kind,
-            mu=mu,
-            sigma=sigma,
-            sigma_chol=chol,
+            scatter=ScatterFit(mu=mu, sigma=sigma),
             threshold_kind=threshold_kind,
             k=k,
             gpd=gpd,
             vif_trace=vif_trace,
+            names=names,
         )
+    except SingularCovarianceError as exc:
+        raise ModelFormatError(
+            f"{path}: stored sigma is not positive definite"
+        ) from exc
     except ValueError as exc:
         raise ModelFormatError(f"{path}: invalid model contents: {exc}") from exc

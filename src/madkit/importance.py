@@ -32,8 +32,11 @@ class SingleClassError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative fitting hit its iteration cap (often separation; raise
-    the ridge penalty)."""
+    """Iterative fitting failed, usually on perfectly separated classes; from
+    the CLI, try ``--importance rf`` or another ``--step5-window``/``--step5-extra``."""
+
+
+_REMEDY = "try --importance rf, or a different --step5-window or --step5-extra"
 
 
 @dataclass
@@ -170,7 +173,6 @@ class DecisionTree:
     right: np.ndarray
     n_node: np.ndarray
     count1: np.ndarray
-    impurity: np.ndarray
     decrease: np.ndarray
     seed: int
     oob_indices: np.ndarray
@@ -287,7 +289,7 @@ def _grow_tree(
     y = targets[boot].astype(np.float64)
 
     feat_l, thr_l, left_l, right_l = [], [], [], []
-    n_l, c1_l, imp_l, dec_l = [], [], [], []
+    n_l, c1_l, dec_l = [], [], []
 
     def new_node():
         feat_l.append(-1)
@@ -296,7 +298,6 @@ def _grow_tree(
         right_l.append(-1)
         n_l.append(0)
         c1_l.append(0)
-        imp_l.append(0.0)
         dec_l.append(0.0)
         return len(feat_l) - 1
 
@@ -310,7 +311,6 @@ def _grow_tree(
         gini = _gini(ones, s)
         n_l[node_id] = s
         c1_l[node_id] = ones
-        imp_l[node_id] = gini
         if s <= t_min or ones == 0 or ones == s:
             continue
         cols = rng.choice(p, size=q, replace=False)
@@ -336,7 +336,6 @@ def _grow_tree(
         right=np.array(right_l, dtype=np.int32),
         n_node=np.array(n_l, dtype=np.int64),
         count1=np.array(c1_l, dtype=np.int64),
-        impurity=np.array(imp_l),
         decrease=np.array(dec_l),
         seed=seed,
         oob_indices=oob,
@@ -464,17 +463,14 @@ def _fit_glm(x: np.ndarray, y: np.ndarray, ridge: float, max_iter: int = 100):
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                "singular update (separation?); increase the ridge penalty"
-            ) from exc
+            raise ConvergenceError(f"singular update (separation?); {_REMEDY}") from exc
         beta = beta + step
         if np.abs(step).max() < 1e-8:
             eta = design @ beta
             loglik = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
             return beta[1:], float(beta[0]), -2.0 * loglik, it
     raise ConvergenceError(
-        f"no convergence in {max_iter} iterations "
-        f"(often separation; increase the ridge penalty)"
+        f"no convergence in {max_iter} iterations (often separation); {_REMEDY}"
     )
 
 

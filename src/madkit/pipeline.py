@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
-from .collinearity import ConstantVariableError, center, vif_prune
+from .collinearity import ConstantVariableError, vif_prune
 from .data import (
     CsvFormatError,
     DetectorModel,
@@ -185,7 +185,6 @@ def fit_detector(
     stages = {
         "smooth": "smooth",
         "vif_prune": "collinearity",
-        "center": "collinearity",
         "fit_scatter": "scatter",
         "threshold": "threshold",
     }
@@ -206,10 +205,9 @@ def fit_detector(
 
     smoothed = timed("smooth", smooth_matrix, train, smooth)
     report = timed("vif_prune", vif_prune, smoothed, vif_threshold)
-    centered_all, means = timed("center", center, smoothed)
-    reduced = centered_all[report.retained]
+    reduced = report.centered[report.retained]
     fit = timed(
-        "fit_scatter", fit_scatter, reduced, means[np.array(report.retained)]
+        "fit_scatter", fit_scatter, reduced, report.means[report.retained]
     )
 
     t0 = time.perf_counter()
@@ -229,13 +227,12 @@ def fit_detector(
         retained=list(report.retained),
         h=smooth.h,
         filter_kind=smooth.kind,
-        mu=fit.mu,
-        sigma=fit.sigma,
-        sigma_chol=fit.chol,
+        scatter=fit,
         threshold_kind=threshold.kind,
         k=float(k),
         gpd=gpd,
         vif_trace=list(report.removed),
+        names=list(train.names),
     )
     info = {
         "vif": {
@@ -258,13 +255,26 @@ def fit_detector(
 def apply_detector(
     model: DetectorModel, test: SeriesMatrix
 ) -> tuple[DetectionResult, dict]:
-    """Score and flag a test block with a fitted model (step scoring)."""
+    """Score and flag a test block with a fitted model (step scoring).
+
+    The test variables must match the model's in count and, when the model
+    knows their names, in name and order.
+    """
     if test.n_vars != model.n_original:
         raise PipelineError(
             "score",
             ValueError(
                 f"model was fitted on {model.n_original} variables, "
                 f"test data has {test.n_vars}"
+            ),
+        )
+    if model.names is not None and list(test.names) != model.names:
+        i = [a == b for a, b in zip(test.names, model.names)].index(False)
+        raise PipelineError(
+            "score",
+            ValueError(
+                f"test variable {i} is {test.names[i]!r}, but the model "
+                f"was fitted with {model.names[i]!r} there"
             ),
         )
     timings: dict[str, float] = {}
@@ -276,9 +286,8 @@ def apply_detector(
     timings["smooth"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    reduced = smoothed.values[model.retained] - model.mu[:, None]
-    fit = _fit_view(model)
-    scores = score_all(fit, reduced)
+    reduced = smoothed.values[model.retained] - model.scatter.mu[:, None]
+    scores = score_all(model.scatter, reduced)
     timings["score"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -288,18 +297,6 @@ def apply_detector(
         scores=scores, flags=flags, time_offset=model.h - 1
     )
     return result, {"timing": timings}
-
-
-def _fit_view(model: DetectorModel):
-    from .scoring import ScatterFit
-
-    return ScatterFit(
-        mu=model.mu,
-        sigma=model.sigma,
-        chol=model.sigma_chol,
-        m=len(model.retained),
-        t_effective=0,
-    )
 
 
 def _threshold_block(model: DetectorModel) -> dict:

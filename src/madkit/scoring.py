@@ -11,7 +11,7 @@ cutoff separates the score into leading and tail subspace contributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -30,14 +30,31 @@ class ScatterFit:
     """Mean, scatter matrix, and its Cholesky factor for scoring.
 
     ``mu`` is the training mean of the retained variables (kept for
-    centering new data); ``sigma = chol @ chol.T`` within rounding.
+    centering new data).  ``chol`` is factored from ``sigma`` on
+    construction, so ``sigma = chol @ chol.T`` within rounding; a
+    ``sigma`` that does not factor raises :class:`SingularCovarianceError`.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
-    chol: np.ndarray
-    m: int
-    t_effective: int
+    chol: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.mu = np.asarray(self.mu, dtype=np.float64)
+        self.sigma = np.asarray(self.sigma, dtype=np.float64)
+        if self.mu.shape != self.sigma.shape[:1]:
+            raise ValueError("mu length must equal the variable count")
+        try:
+            self.chol = np.linalg.cholesky(self.sigma)
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovarianceError(
+                "scatter matrix is singular; variables are still collinear, "
+                "re-run VIF pruning with a stricter threshold"
+            ) from exc
+
+    @property
+    def m(self) -> int:
+        return self.mu.size
 
 
 def fit_scatter(centered: np.ndarray, mu: np.ndarray | None = None) -> ScatterFit:
@@ -67,20 +84,7 @@ def fit_scatter(centered: np.ndarray, mu: np.ndarray | None = None) -> ScatterFi
         )
     sigma = centered @ centered.T / t
     sigma = (sigma + sigma.T) / 2.0  # exact symmetry
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError(
-            "scatter matrix is singular; variables are still collinear, "
-            "re-run VIF pruning with a stricter threshold"
-        ) from exc
-    if mu is None:
-        mu = np.zeros(m)
-    else:
-        mu = np.asarray(mu, dtype=np.float64)
-        if mu.shape != (m,):
-            raise ValueError("mu length must equal the variable count")
-    return ScatterFit(mu=mu, sigma=sigma, chol=chol, m=m, t_effective=t)
+    return ScatterFit(mu=np.zeros(m) if mu is None else mu, sigma=sigma)
 
 
 def score(fit: ScatterFit, x: np.ndarray) -> float:

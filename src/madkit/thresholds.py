@@ -52,6 +52,9 @@ class ThresholdSpec:
             raise ValueError("percentile must lie strictly between 0 and 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
+        # the GPD quantile extrapolates only past l (Siffer et al., KDD 2017)
+        if self.kind == "pot" and not self.q < 1.0 - self.percentile:
+            raise ValueError("pot needs q < 1 - percentile, or k falls below l")
 
 
 def mvt_threshold(train_scores: np.ndarray) -> float:

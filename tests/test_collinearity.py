@@ -195,7 +195,8 @@ def test_prune_accepts_series_matrix():
 def test_report_validation():
     from madkit.collinearity import VifReport
 
+    block = np.zeros((3, 4)), np.zeros(3)
     with pytest.raises(ValueError, match="overlap"):
-        VifReport(removed=[(0, 10.0)], retained=[0, 1], final_vifs=[1.0, 1.0])
+        VifReport([(0, 10.0)], [0, 1], [1.0, 1.0], *block)
     with pytest.raises(ValueError, match="per retained"):
-        VifReport(removed=[], retained=[0, 1], final_vifs=[1.0])
+        VifReport([], [0, 1], [1.0], *block)

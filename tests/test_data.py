@@ -13,11 +13,13 @@ from madkit.data import (
     SplitSpec,
     load_csv,
     load_headerless,
+    load_labels,
     load_model,
     save_csv,
     save_model,
     split,
 )
+from madkit.scoring import ScatterFit
 
 
 def make_matrix(n=3, t=10, seed=0):
@@ -319,6 +321,41 @@ def test_csv_corpus(tmp_path, case):
     assert (labels is None) == (label_column is None)
 
 
+LABEL_FILES = {
+    "empty": ("", "empty file"),
+    "duplicate": ("t,flag,t\n0,1,0\n", "duplicate header names ['t']"),
+    "no column": ("t,f\n0,1\n", "no column named 'flag'"),
+    "header only": ("t,flag\n", "no data rows"),
+    "short row": ("t,flag\n0,1\n1\n", "line 3 has 1 fields, expected 2"),
+    "long row": ("t,flag\n0,1,2\n", "line 2 has 3 fields, expected 2"),
+    "bad label": (
+        "t,flag\n0,1\n\n2, 0\n",
+        "line 4, column 'flag': label must be '0' or '1', got ' 0'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LABEL_FILES))
+def test_load_labels_shares_load_csv_messages(tmp_path, case):
+    text, message = LABEL_FILES[case]
+    path = tmp_path / "labels.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CsvFormatError) as got:
+        load_labels(path, "flag")
+    assert str(got.value) == f"{path}: {message}"
+    with pytest.raises(CsvFormatError) as want:
+        load_csv(path, label_column="flag")
+    assert str(want.value) == str(got.value)
+
+
+def test_load_labels_reads_one_column(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"t,flag,s\r\n0,1,x\r\n\r\n1,0,\r\n2,1,\"a,b\"")
+    labels = load_labels(path, "flag")
+    assert labels.dtype == np.int8
+    assert labels.tolist() == [1, 0, 1]
+
+
 def test_csv_reals_keep_every_bit(tmp_path):
     # the same bits whichever parser reads the body: "1_0" sends the
     # second file through the csv module
@@ -372,9 +409,7 @@ def make_model(threshold_kind="mvt", gpd=None, vif_trace=()):
         retained=[0, 2],
         h=3,
         filter_kind="median",
-        mu=np.array([0.1, -0.2]),
-        sigma=sigma,
-        sigma_chol=np.linalg.cholesky(sigma),
+        scatter=ScatterFit(mu=np.array([0.1, -0.2]), sigma=sigma),
         threshold_kind=threshold_kind,
         k=2.5,
         gpd=gpd,
@@ -393,15 +428,12 @@ def test_model_pot_requires_gpd():
 
 
 def test_model_rejects_nonpositive_threshold():
-    sigma = np.eye(2)
     with pytest.raises(ValueError, match="positive"):
         DetectorModel(
             retained=[0, 1],
             h=1,
             filter_kind="mean",
-            mu=np.zeros(2),
-            sigma=sigma,
-            sigma_chol=sigma,
+            scatter=ScatterFit(mu=np.zeros(2), sigma=np.eye(2)),
             threshold_kind="mvt",
             k=0.0,
         )
@@ -426,7 +458,7 @@ def test_model_file_round_trip(tmp_path):
     save_model(model, path)
 
     text = path.read_text(encoding="utf-8")
-    assert text.splitlines()[0] == "madkit-model v1"
+    assert text.splitlines()[0] == "madkit-model v2"
 
     back = load_model(path)
     assert back.retained == model.retained
@@ -435,8 +467,8 @@ def test_model_file_round_trip(tmp_path):
     assert back.threshold_kind == "pot"
     assert back.k == model.k
     assert back.vif_trace == model.vif_trace
-    assert np.array_equal(back.mu, model.mu)
-    assert np.array_equal(back.sigma, model.sigma)
+    assert np.array_equal(back.scatter.mu, model.scatter.mu)
+    assert np.array_equal(back.scatter.sigma, model.scatter.sigma)
     assert back.gpd.gamma == gpd.gamma
     assert back.gpd.delta == gpd.delta
     assert back.gpd.l == gpd.l
@@ -447,7 +479,7 @@ def test_model_file_round_trip(tmp_path):
 def test_model_round_trip_rescoring_is_bit_identical(tmp_path):
     # the cholesky factor is recomputed on load from the exact same sigma,
     # so scoring through a reloaded model gives bit-identical results
-    from madkit.scoring import ScatterFit, score_all
+    from madkit.scoring import score_all
 
     model = make_model()
     path = tmp_path / "model.txt"
@@ -456,20 +488,16 @@ def test_model_round_trip_rescoring_is_bit_identical(tmp_path):
 
     rng = np.random.default_rng(3)
     data = rng.standard_normal((2, 200))
-    fit1 = ScatterFit(
-        mu=model.mu, sigma=model.sigma, chol=model.sigma_chol, m=2, t_effective=0
+    assert np.array_equal(
+        score_all(model.scatter, data), score_all(back.scatter, data)
     )
-    fit2 = ScatterFit(
-        mu=back.mu, sigma=back.sigma, chol=back.sigma_chol, m=2, t_effective=0
-    )
-    assert np.array_equal(score_all(fit1, data), score_all(fit2, data))
 
 
 def test_model_load_rejects_wrong_version(tmp_path):
     path = tmp_path / "model.txt"
     save_model(make_model(), path)
     text = path.read_text(encoding="utf-8")
-    path.write_text(text.replace("madkit-model v1", "madkit-model v9"))
+    path.write_text(text.replace("madkit-model v2", "madkit-model v9"))
     with pytest.raises(ModelFormatError, match="unsupported model format"):
         load_model(path)
 
@@ -505,6 +533,54 @@ def test_model_load_rejects_non_spd_sigma(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ModelFormatError, match="positive definite"):
         load_model(path)
+
+
+FROZEN_V1_MODEL = """madkit-model v1
+threshold_kind: mvt
+h: 3
+filter_kind: median
+k: 2.5
+retained: 0,2
+vif_trace: 1,37.25
+mu: 0.10000000000000001,-0.20000000000000001
+sigma_rows: 2
+2,0.5
+0.5,1
+"""
+
+
+def test_model_v1_file_still_loads_and_rescores(tmp_path):
+    from madkit.pipeline import apply_detector
+
+    path = tmp_path / "model.txt"
+    path.write_text(FROZEN_V1_MODEL, encoding="utf-8")
+    back = load_model(path)
+    model = make_model(vif_trace=[(1, 37.25)])
+    assert back.names is None
+    assert back.vif_trace == model.vif_trace
+    assert np.array_equal(back.scatter.mu, model.scatter.mu)
+    assert np.array_equal(back.scatter.sigma, model.scatter.sigma)
+    test = make_matrix(n=3, t=50, seed=4)
+    got, _ = apply_detector(back, test)
+    want, _ = apply_detector(model, test)
+    assert np.array_equal(got.scores, want.scores)
+
+
+def test_model_v2_keeps_names_with_commas(tmp_path):
+    names = ["a,b", 'say "x"', "\u00e9t\u00e9"]
+    model = make_model(vif_trace=[(1, 37.25)])
+    model.names = names
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    assert load_model(path).names == names
+    model.names = None  # unknown names survive a round trip too
+    save_model(model, path)
+    assert load_model(path).names is None
+    text = path.read_text(encoding="utf-8")
+    for bad in ("5", '"abc"', '["a", "b"]', "[1, 2, 3]", "[1"):
+        path.write_text(text.replace("names: null", f"names: {bad}"))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
 
 
 def test_model_load_missing_file(tmp_path):

@@ -270,6 +270,16 @@ def test_logistic_unpenalized_separation_fails_loudly():
     fit_logistic(ds, ridge=1e-2)  # a real penalty restores convergence
 
 
+def test_convergence_error_names_cli_remedies():
+    x = np.concatenate([np.linspace(-2, -1, 20), np.linspace(1, 2, 20)])
+    y = np.repeat([0, 1], 20)
+    ds = make_dataset(x.reshape(-1, 1), y)
+    with pytest.raises(
+        ConvergenceError, match="--importance rf, or a different --step5-window"
+    ):
+        rcde(ds, ridge=0.0)
+
+
 def test_rcde_single_predictor_is_exactly_one():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((80, 1))

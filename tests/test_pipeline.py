@@ -57,7 +57,7 @@ def test_fit_detector_structure():
     assert [i for i, _ in model.vif_trace] == [r[0] for r in info["vif"]["removed"]]
     assert info["train_scores"]["count"] == train.n_times
     assert set(info["timing"]) == {
-        "smooth", "vif_prune", "center", "fit_scatter", "score", "threshold",
+        "smooth", "vif_prune", "fit_scatter", "score", "threshold",
     }
 
 
@@ -354,6 +354,60 @@ def test_cli_evaluate(tmp_path):
     block = json.loads(eval_path.read_text(encoding="utf-8"))
     assert block["recall"] > 0.5
     assert block["ric"] == 1.0
+
+
+def test_cli_score_rejects_reordered_columns(tmp_path, capsys):
+    train_csv, test_csv, _ = write_corpus(tmp_path, seed=6)
+    model_path = tmp_path / "model.txt"
+    assert main(["fit", "--train", str(train_csv), "--out", str(model_path)]) == 0
+    test, _ = load_csv(test_csv)
+    swapped = tmp_path / "swapped.csv"
+    save_csv(test.select([1, 0, 2, 3, 4, 5]), swapped)
+    capsys.readouterr()
+    code = main(["score", "--model", str(model_path), "--data", str(swapped)])
+    assert code == EXIT_CODES["score"]
+    assert "test variable 0 is 'v2'" in capsys.readouterr().err
+
+
+def test_cli_rejects_wrong_inputs_loudly(tmp_path, capsys):
+    train_csv, test_csv, _ = write_corpus(tmp_path, seed=7)
+    pred = tmp_path / "pred.csv"
+    pred.write_text("timestamp,score,myflag\n0,1.0,0\n1,2.0,1\n", encoding="utf-8")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("label\n0\n1\n", encoding="utf-8")
+    data = ["--train", str(train_csv), "--test", str(test_csv)]
+    labels = ["--pred", str(pred), "--truth", str(truth), "--pred-column", "myflag"]
+    cases = [
+        (["explain", *data, "--rf-trees", "0"], "explain", "n_trees must be"),
+        (["evaluate", *labels, "--min-cluster-len", "0"], "evaluate", "min_length"),
+        (["evaluate", *labels, "--smooth-window", "0"], "config", "window length"),
+        (
+            ["detect", *data, "--threshold", "pot", "--pot-q", "0.25",
+             "--pot-percentile", "0.75"],
+            "config",
+            "q < 1 - percentile",
+        ),
+    ]
+    for argv, stage, message in cases:
+        assert main(argv) == EXIT_CODES[stage], argv
+        err = capsys.readouterr().err
+        assert f"error [{stage}]" in err and message in err, err
+
+    # a config file's pred-column is honoured, not overridden by a default
+    cfg_path = tmp_path / "eval.json"
+    cfg_path.write_text(json.dumps({"pred_column": "myflag"}), encoding="utf-8")
+    out = tmp_path / "eval_out.json"
+    assert main([
+        "evaluate", "--pred", str(pred), "--truth", str(truth),
+        "--config", str(cfg_path), "--out", str(out),
+    ]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["counts"]["tp"] == 1
+
+    short = tmp_path / "short.csv"
+    short.write_text("timestamp,score,flag\n0,1.0,0\n1,2.0\n", encoding="utf-8")
+    code = main(["evaluate", "--pred", str(short), "--truth", str(truth)])
+    assert code == EXIT_CODES["ingest"]
+    assert "line 3 has 2 fields, expected 3" in capsys.readouterr().err
 
 
 def test_cli_evaluate_length_mismatch(tmp_path, capsys):

@@ -19,13 +19,7 @@ from madkit.scoring import (
 def manual_fit(sigma, mu=None):
     sigma = np.asarray(sigma, dtype=np.float64)
     m = sigma.shape[0]
-    return ScatterFit(
-        mu=np.zeros(m) if mu is None else np.asarray(mu, dtype=np.float64),
-        sigma=sigma,
-        chol=np.linalg.cholesky(sigma),
-        m=m,
-        t_effective=0,
-    )
+    return ScatterFit(mu=np.zeros(m) if mu is None else mu, sigma=sigma)
 
 
 def test_score_frozen_example():
@@ -71,7 +65,6 @@ def test_fit_scatter_population_normalization():
     d = np.array([[1.0, -1.0, 2.0, -2.0]])
     fit = fit_scatter(d)
     assert fit.sigma[0, 0] == 10.0 / 4.0
-    assert fit.t_effective == 4
 
 
 def test_fit_scatter_trace_identity():

@@ -279,3 +279,11 @@ def test_threshold_spec_validation():
         ThresholdSpec(percentile=1.0)
     with pytest.raises(ValueError, match="alpha"):
         ThresholdSpec(alpha=-0.1)
+
+
+def test_pot_spec_needs_q_inside_the_tail():
+    # 1 - 0.75 is exactly 0.25 in binary; 1 - 0.99 is not exactly 0.01
+    with pytest.raises(ValueError, match=r"q < 1 - percentile"):
+        ThresholdSpec(kind="pot", q=0.25, percentile=0.75)
+    ThresholdSpec(kind="pot", q=0.2, percentile=0.75)
+    ThresholdSpec(kind="mvt", q=0.25, percentile=0.75)  # q unused by mvt
