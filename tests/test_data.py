@@ -324,11 +324,11 @@ def test_csv_corpus(tmp_path, case):
 LABEL_FILES = {
     "empty": ("", "empty file"),
     "duplicate": ("t,flag,t\n0,1,0\n", "duplicate header names ['t']"),
-    "no column": ("t,f\n0,1\n", "no column named 'flag'"),
-    "header only": ("t,flag\n", "no data rows"),
-    "short row": ("t,flag\n0,1\n1\n", "line 3 has 1 fields, expected 2"),
-    "long row": ("t,flag\n0,1,2\n", "line 2 has 3 fields, expected 2"),
-    "bad label": (
+    "no_column": ("t,f\n0,1\n", "no column named 'flag'"),
+    "header_only": ("t,flag\n", "no data rows"),
+    "short_row": ("t,flag\n0,1\n1\n", "line 3 has 1 fields, expected 2"),
+    "long_row": ("t,flag\n0,1,2\n", "line 2 has 3 fields, expected 2"),
+    "bad_label": (
         "t,flag\n0,1\n\n2, 0\n",
         "line 4, column 'flag': label must be '0' or '1', got ' 0'",
     ),
