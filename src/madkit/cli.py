@@ -34,8 +34,8 @@ from .pipeline import (
     EXIT_CODES,
     PipelineConfig,
     PipelineError,
+    _fit_from_config,
     apply_detector,
-    fit_detector,
     run_detect,
     run_evaluate,
     run_explain,
@@ -194,7 +194,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
             key = key.replace("_", "-")
             if key not in options:
                 raise ValueError(f"unknown config key {key!r}")
-            if options[key] in (None, False):
+            # an explicit 0 given on the command line wins (0 == False)
+            if options[key] is None or options[key] is False:
                 options[key] = value
     return options
 
@@ -319,12 +320,7 @@ def _cmd_explain(options: dict) -> int:
     if options.get("model"):
         model = load_model(options["model"])
     else:
-        model, _ = fit_detector(
-            train,
-            smooth=cfg.smooth,
-            vif_threshold=cfg.vif_threshold,
-            threshold=cfg.threshold,
-        )
+        model, _ = _fit_from_config(train, cfg)
     result, _ = apply_detector(model, test)
     reports = run_explain(cfg, model, result.flags, train=train, test=test)
     payload = [
@@ -428,12 +424,7 @@ def _parse_anomaly(text: str) -> AnomalySpec:
 def _cmd_fit(options: dict) -> int:
     cfg = _pipeline_config(options)
     matrix, _ = load_csv(options["train"], label_column=cfg.label_column)
-    model, info = fit_detector(
-        matrix,
-        smooth=cfg.smooth,
-        vif_threshold=cfg.vif_threshold,
-        threshold=cfg.threshold,
-    )
+    model, _ = _fit_from_config(matrix, cfg)
     out = options.get("out")
     if not out:
         raise ValueError("fit requires --out for the model file")

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import copy
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__ as _version
-from .collinearity import ConstantVariableError, vif_prune
+from .collinearity import vif_prune
 from .data import (
-    CsvFormatError,
     DetectorModel,
     LabelVector,
     SeriesMatrix,
@@ -31,17 +31,15 @@ from .data import (
 )
 from .importance import (
     ImportanceReport,
-    SingleClassError,
     assemble_explain_dataset,
     gini_importance,
     rcde,
     train_forest,
 )
 from .metrics import confusion, extract_clusters, f1, mcc, precision, recall, ric
-from .scoring import SingularCovarianceError, fit_scatter, score_all
+from .scoring import fit_scatter, score_all
 from .smoothing import SmoothConfig, smooth_matrix
 from .thresholds import (
-    GpdFitError,
     ThresholdSpec,
     chi2_threshold,
     flag as flag_scores,
@@ -83,6 +81,26 @@ class PipelineError(RuntimeError):
         self.exit_code = EXIT_CODES.get(stage, EXIT_CODES["error"])
         self.cause = cause
         super().__init__(f"{stage}: {cause}")
+
+
+@contextmanager
+def _stage(stage: str, timings: dict | None = None, step: str | None = None):
+    """Run a block as pipeline stage ``stage``.
+
+    The block's wall-clock time goes to ``timings[step or stage]``.  A
+    ``ValueError``, ``RuntimeError`` or ``OSError`` raised in it becomes
+    ``PipelineError(stage, exc)``; a ``PipelineError`` from a nested stage
+    passes through unchanged.
+    """
+    t0 = time.perf_counter()
+    try:
+        yield
+    except (ValueError, RuntimeError, OSError) as exc:
+        if isinstance(exc, PipelineError):
+            raise
+        raise PipelineError(stage, exc) from exc
+    if timings is not None:
+        timings[step or stage] = time.perf_counter() - t0
 
 
 @dataclass
@@ -139,37 +157,28 @@ class DetectionResult:
 
 
 def _resolve_data(cfg: PipelineConfig):
-    def load(source, what):
+    def load(source):
         if isinstance(source, SeriesMatrix):
             return source
-        try:
-            matrix, _ = load_csv(source, label_column=cfg.label_column)
-        except (CsvFormatError, OSError) as exc:
-            raise PipelineError("ingest", exc) from exc
-        return matrix
+        with _stage("ingest"):
+            return load_csv(source, label_column=cfg.label_column)[0]
 
-    if cfg.data is not None:
-        if cfg.train_end is None:
-            raise PipelineError(
-                "config", ValueError("data source requires train_end")
+    with _stage("config"):
+        if cfg.data is not None:
+            if cfg.train_end is None:
+                raise ValueError("data source requires train_end")
+            return split_matrix(load(cfg.data), SplitSpec(cfg.train_end))
+        if cfg.train is None or cfg.test is None:
+            raise ValueError(
+                "provide train and test sources, or data with train_end"
             )
-        full = load(cfg.data, "data")
-        try:
-            return split_matrix(full, SplitSpec(cfg.train_end))
-        except ValueError as exc:
-            raise PipelineError("config", exc) from exc
-    if cfg.train is None or cfg.test is None:
-        raise PipelineError(
-            "config",
-            ValueError("provide train and test sources, or data with train_end"),
-        )
-    return load(cfg.train, "train"), load(cfg.test, "test")
+        return load(cfg.train), load(cfg.test)
 
 
 def fit_detector(
     train: SeriesMatrix,
     smooth: SmoothConfig | None = None,
-    vif_threshold: float = 5.0,
+    vif_threshold: float = PipelineConfig.vif_threshold,
     threshold: ThresholdSpec | None = None,
 ) -> tuple[DetectorModel, dict]:
     """Fit a detector on training data (steps 1 to 4).
@@ -180,48 +189,23 @@ def fit_detector(
     smooth = smooth or SmoothConfig()
     threshold = threshold or ThresholdSpec()
     timings: dict[str, float] = {}
-
-    # timing-step name -> error-stage name for exit codes
-    stages = {
-        "smooth": "smooth",
-        "vif_prune": "collinearity",
-        "fit_scatter": "scatter",
-        "threshold": "threshold",
-    }
-
-    def timed(step, fn, *args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            result = fn(*args, **kwargs)
-        except (
-            ValueError,
-            ConstantVariableError,
-            SingularCovarianceError,
-            GpdFitError,
-        ) as exc:
-            raise PipelineError(stages[step], exc) from exc
-        timings[step] = time.perf_counter() - t0
-        return result
-
-    smoothed = timed("smooth", smooth_matrix, train, smooth)
-    report = timed("vif_prune", vif_prune, smoothed, vif_threshold)
+    with _stage("smooth", timings):
+        smoothed = smooth_matrix(train, smooth)
+    with _stage("collinearity", timings, "vif_prune"):
+        report = vif_prune(smoothed, vif_threshold)
     reduced = report.centered[report.retained]
-    fit = timed(
-        "fit_scatter", fit_scatter, reduced, report.means[report.retained]
-    )
-
-    t0 = time.perf_counter()
-    train_scores = score_all(fit, reduced)
-    timings["score"] = time.perf_counter() - t0
-
-    def pick_threshold():
+    with _stage("scatter", timings, "fit_scatter"):
+        fit = fit_scatter(reduced, report.means[report.retained])
+    with _stage("score", timings):
+        train_scores = score_all(fit, reduced)
+    with _stage("threshold", timings):
+        gpd = None
         if threshold.kind == "mvt":
-            return mvt_threshold(train_scores), None
-        if threshold.kind == "pot":
-            return pot_threshold(train_scores, threshold)
-        return chi2_threshold(fit.m, threshold.alpha), None
-
-    k, gpd = timed("threshold", pick_threshold)
+            k = mvt_threshold(train_scores)
+        elif threshold.kind == "pot":
+            k, gpd = pot_threshold(train_scores, threshold)
+        else:
+            k = chi2_threshold(fit.m, threshold.alpha)
 
     model = DetectorModel(
         retained=list(report.retained),
@@ -260,43 +244,36 @@ def apply_detector(
     The test variables must match the model's in count and, when the model
     knows their names, in name and order.
     """
-    if test.n_vars != model.n_original:
-        raise PipelineError(
-            "score",
-            ValueError(
+    timings: dict[str, float] = {}
+    with _stage("score"):
+        if test.n_vars != model.n_original:
+            raise ValueError(
                 f"model was fitted on {model.n_original} variables, "
                 f"test data has {test.n_vars}"
-            ),
-        )
-    if model.names is not None and list(test.names) != model.names:
-        i = [a == b for a, b in zip(test.names, model.names)].index(False)
-        raise PipelineError(
-            "score",
-            ValueError(
+            )
+        if model.names is not None and list(test.names) != model.names:
+            i = [a == b for a, b in zip(test.names, model.names)].index(False)
+            raise ValueError(
                 f"test variable {i} is {test.names[i]!r}, but the model "
                 f"was fitted with {model.names[i]!r} there"
-            ),
-        )
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    try:
+            )
+    with _stage("smooth", timings):
         smoothed = smooth_matrix(test, SmoothConfig(model.h, model.filter_kind))
-    except ValueError as exc:
-        raise PipelineError("smooth", exc) from exc
-    timings["smooth"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    reduced = smoothed.values[model.retained] - model.scatter.mu[:, None]
-    scores = score_all(model.scatter, reduced)
-    timings["score"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    flags = flag_scores(scores, model.k)
-    timings["flag"] = time.perf_counter() - t0
+    with _stage("score", timings):
+        reduced = smoothed.values[model.retained] - model.scatter.mu[:, None]
+        scores = score_all(model.scatter, reduced)
+    with _stage("score", timings, "flag"):
+        flags = flag_scores(scores, model.k)
     result = DetectionResult(
         scores=scores, flags=flags, time_offset=model.h - 1
     )
     return result, {"timing": timings}
+
+
+def _fit_from_config(train: SeriesMatrix, cfg: PipelineConfig):
+    """``fit_detector`` with the smoothing, VIF and threshold settings of
+    ``cfg``."""
+    return fit_detector(train, cfg.smooth, cfg.vif_threshold, cfg.threshold)
 
 
 def _threshold_block(model: DetectorModel) -> dict:
@@ -319,12 +296,7 @@ def run_detect(
 ) -> tuple[DetectorModel, DetectionResult, dict]:
     """Run the full detection pipeline from a configuration."""
     train, test = _resolve_data(cfg)
-    model, fit_info = fit_detector(
-        train,
-        smooth=cfg.smooth,
-        vif_threshold=cfg.vif_threshold,
-        threshold=cfg.threshold,
-    )
+    model, fit_info = _fit_from_config(train, cfg)
     result, score_info = apply_detector(model, test)
     flags = result.flags.labels
     report = {
@@ -421,7 +393,7 @@ def run_explain(
         feat_train = train.slice_time(model.h - 1, train.n_times)
     window = cfg.step5_window or (0, feat_test.n_times)
     n_extra = min(cfg.step5_extra, feat_train.n_times)
-    try:
+    with _stage("explain"):
         dataset = assemble_explain_dataset(
             feat_test,
             flags,
@@ -429,22 +401,20 @@ def run_explain(
             train_tail=feat_train if n_extra > 0 else None,
             n_extra=n_extra,
         )
-        reports = []
+        # RCDE first: on a separable window it fails before a forest grows
+        lr = [rcde(dataset)] if cfg.importance in ("lr", "both") else []
+        rf = []
         if cfg.importance in ("rf", "both"):
             forest = train_forest(
                 dataset, n_trees=cfg.rf_trees, seed=cfg.rf_seed
             )
-            reports.append(gini_importance(forest, dataset))
-        if cfg.importance in ("lr", "both"):
-            reports.append(rcde(dataset))
-    except (SingleClassError, ValueError, RuntimeError) as exc:
-        raise PipelineError("explain", exc) from exc
-    return reports
+            rf = [gini_importance(forest, dataset)]
+    return rf + lr
 
 
 def run_evaluate(pred, truth, min_cluster_len: int = 1) -> dict:
     """Pointwise and cluster metrics for aligned prediction/truth vectors."""
-    try:
+    with _stage("evaluate"):
         counts = confusion(pred, truth)
         clusters = extract_clusters(truth, min_length=min_cluster_len)
         block = {
@@ -464,6 +434,4 @@ def run_evaluate(pred, truth, min_cluster_len: int = 1) -> dict:
             ],
         }
         block["ric"] = ric(pred, clusters) if clusters else None
-    except ValueError as exc:
-        raise PipelineError("evaluate", exc) from exc
     return block

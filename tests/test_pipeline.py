@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from madkit.cli import main
+from madkit.cli import _build_parser, _merge_config, _pipeline_config, main
 from madkit.data import LabelVector, load_csv, load_model, save_csv
 from madkit.pipeline import (
     EXIT_CODES,
@@ -122,6 +122,7 @@ def test_run_detect_report_shape():
     assert report["threshold"]["kind"] == "mvt"
     assert report["threshold"]["k"] == model.k
     assert "fit_seconds" in report["timing"]
+    assert list(report["timing"]["per_step"]["score"]) == ["smooth", "score", "flag"]
     json.dumps(report)  # must be JSON-serializable as-is
 
 
@@ -187,6 +188,40 @@ def test_run_explain_zero_flag_window_fails():
     assert err.value.exit_code == EXIT_CODES["explain"]
 
 
+def test_run_explain_both_fails_before_growing_a_forest(monkeypatch):
+    # RCDE cannot fit this window (separation); "both" must not grow a
+    # forest only to throw its ranking away
+    anomalies = (
+        AnomalySpec(start=3600, length=60, variables=(1, 2), magnitude=4.0),
+        AnomalySpec(start=4200, length=30, variables=(6,), magnitude=-5.0),
+    )
+    groups = (CollinearGroup(base=0, dependents=(3, 5), noise_scale=0.01),)
+    train, test, _ = corpus(
+        seed=3, n=8, t_train=3000, t_test=1500, anomalies=anomalies,
+        groups=groups,
+    )
+    cfg = PipelineConfig(
+        train=train, test=test, smooth=SmoothConfig(h=20),
+        threshold=ThresholdSpec(kind="pot"), importance="both", rf_trees=10,
+    )
+    model, result, _ = run_detect(cfg)
+    import madkit.pipeline
+
+    calls = []
+    grow = madkit.pipeline.train_forest
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(madkit.pipeline, "train_forest", counted)
+    with pytest.raises(PipelineError) as err:
+        run_explain(cfg, model, result.flags, train=train, test=test)
+    assert err.value.stage == "explain"
+    assert "--importance rf" in str(err.value.cause)
+    assert calls == []
+
+
 def test_run_evaluate_blocks():
     pred = np.array([1, 1, 0, 0, 0, 0])
     truth = np.array([1, 0, 1, 1, 1, 0])
@@ -230,7 +265,7 @@ def test_model_reuse_matches_fresh_run(tmp_path):
     assert np.array_equal(r1.flags.labels, r2.flags.labels)
 
 
-def test_pipeline_config_validation():
+def test_pipeline_config_validation(tmp_path):
     with pytest.raises(ValueError, match="step5_features"):
         PipelineConfig(train="a.csv", test="b.csv", step5_features="fourier")
     with pytest.raises(ValueError, match="importance"):
@@ -250,6 +285,17 @@ def test_pipeline_config_validation():
     with pytest.raises(PipelineError) as err:
         run_detect(PipelineConfig(data=matrix))  # train_end missing
     assert err.value.stage == "config"
+
+    # an unreadable file inside the config stage stays an ingest error
+    missing = tmp_path / "missing.csv"
+    for cfg in (
+        PipelineConfig(data=missing, train_end=10),
+        PipelineConfig(train=missing, test=missing),
+    ):
+        with pytest.raises(PipelineError) as err:
+            run_detect(cfg)
+        assert err.value.stage == "ingest"
+        assert isinstance(err.value.cause, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +535,23 @@ def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_cli_explicit_zero_beats_config_file(tmp_path):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(
+        '{"step5_extra": 1000, "rf_seed": 5, "rf_trees": 7}', encoding="utf-8"
+    )
+    args = _build_parser().parse_args([
+        "explain", "--config", str(cfg_path), "--step5-extra", "0",
+        "--rf-seed", "0",
+    ])
+    cfg = _pipeline_config(_merge_config(args))
+    assert (cfg.step5_extra, cfg.rf_seed, cfg.rf_trees) == (0, 0, 7)
+    # an unset store_true flag still takes the file's value
+    cfg_path.write_text('{"summary": true}', encoding="utf-8")
+    args = _build_parser().parse_args(["detect", "--config", str(cfg_path)])
+    assert _merge_config(args)["summary"] is True
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # missing data sources
     assert main(["detect"]) == EXIT_CODES["config"]
@@ -514,6 +577,33 @@ def test_cli_exit_codes(tmp_path, capsys):
     ) == EXIT_CODES["collinearity"]
     err = capsys.readouterr().err
     assert "error [collinearity]" in err
+
+    # a one-row file is an ingest failure
+    one = tmp_path / "one.csv"
+    one.write_text("a,b\n1.0,2.0\n", encoding="utf-8")
+    assert main(
+        ["detect", "--train", str(one), "--test", str(good)]
+    ) == EXIT_CODES["ingest"]
+    assert "need at least two observations" in capsys.readouterr().err
+
+    # smoothing window longer than the training series
+    assert main(
+        ["detect", "--train", str(good), "--test", str(good),
+         "--smooth-window", "5"]
+    ) == EXIT_CODES["smooth"]
+    assert "error [smooth]" in capsys.readouterr().err
+
+    # too few training scores for a POT tail fit
+    short = tmp_path / "short.csv"
+    short.write_text(
+        "a,b\n" + "".join(f"{v}.0,{(v * 7) % 13}.0\n" for v in range(40)),
+        encoding="utf-8",
+    )
+    assert main(
+        ["detect", "--train", str(short), "--test", str(good),
+         "--threshold", "pot"]
+    ) == EXIT_CODES["threshold"]
+    assert "error [threshold]" in capsys.readouterr().err
 
 
 def test_cli_single_file_split(tmp_path):
