@@ -1,65 +1,56 @@
-"""Command-line interface.
+"""Command-line interface, a thin shell over ``pipeline``.
 
 Subcommands: ``detect`` (fit on train, flag test), ``explain`` (rank the
-variables behind flags in a window), ``evaluate`` (score predictions
-against truth), ``synth`` (emit a synthetic corpus), ``fit`` (fit and save
-a model), ``score`` (apply a saved model to data).
+variables behind flags in a window) and ``evaluate`` (score predictions
+against truth) write a JSON report; ``synth`` writes a synthetic corpus,
+``fit`` a model file and ``score`` the scores of a saved model on data.
 
 Every flag can also be supplied through a JSON config file (``--config``)
-whose keys mirror the flag names; explicit flags win over the file.  Exit
-codes are 0 on success, 2 for bad configuration, and a distinct nonzero
-code per failing pipeline stage (see ``pipeline.EXIT_CODES``).
+whose keys mirror the flag names; explicit flags win over the file.  A
+command builds one ``PipelineConfig``, calls the pipeline and writes its
+outputs.  A failure exits with its stage's code (``pipeline.EXIT_CODES``):
+2 for bad configuration, 10 for a file that cannot be read or written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .data import (
-    CsvFormatError,
-    ModelFormatError,
-    load_csv,
-    load_labels,
-    load_model,
-    save_csv,
-    save_model,
-)
+from .data import save_csv, save_model
 from .pipeline import (
     EXIT_CODES,
     PipelineConfig,
     PipelineError,
-    _fit_from_config,
+    _stage,
     apply_detector,
+    explain_inputs,
+    load_evaluation_labels,
+    load_matrix,
+    load_or_fit_model,
     run_detect,
     run_evaluate,
     run_explain,
 )
-from .smoothing import SmoothConfig, align_labels
+from .smoothing import SmoothConfig
 from .synthetic import AnomalySpec, CollinearGroup, SynthConfig, generate
 from .thresholds import ThresholdSpec
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        options = _merge_config(args)
-        return args.handler(options)
+        with _stage("config"):
+            options = _merge_config(args)
+            args.handler(_pipeline_config(options), options)
     except PipelineError as exc:
         print(f"error [{exc.stage}]: {exc.cause}", file=sys.stderr)
         return exc.exit_code
-    except (CsvFormatError, ModelFormatError, OSError) as exc:
-        print(f"error [ingest]: {exc}", file=sys.stderr)
-        return EXIT_CODES["ingest"]
-    except ValueError as exc:
-        print(f"error [config]: {exc}", file=sys.stderr)
-        return EXIT_CODES["config"]
+    return EXIT_CODES["ok"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -172,6 +163,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(handler=_cmd_score)
 
+    for p in sub.choices.values():
+        # what _merge_config checks config file values against
+        p.set_defaults(flags={a.dest.replace("_", "-"): a for a in p._actions})
     return parser
 
 
@@ -180,7 +174,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     options = {
         k.replace("_", "-"): v
         for k, v in vars(args).items()
-        if k not in ("handler", "command")
+        if k not in ("handler", "command", "flags")
     }
     config_path = options.pop("config", None)
     if config_path:
@@ -194,51 +188,51 @@ def _merge_config(args: argparse.Namespace) -> dict:
             key = key.replace("_", "-")
             if key not in options:
                 raise ValueError(f"unknown config key {key!r}")
+            if value is not None:
+                _check_config_value(key, value, args.flags[key])
             # an explicit 0 given on the command line wins (0 == False)
             if options[key] is None or options[key] is False:
                 options[key] = value
     return options
 
 
+def _check_config_value(key: str, value, flag: argparse.Action) -> None:
+    """Raise ``ValueError`` unless ``value`` has the argparse ``type`` of
+    the flag behind config key ``key``, if it has one (an int passes for a
+    float), and is one of the flag's ``choices``, if it has them."""
+    types = {int: (int,), float: (int, float)}.get(flag.type, (type(value),))
+    if type(value) not in types or flag.choices and value not in flag.choices:
+        wanted = f"one of {flag.choices}" if flag.choices else flag.type.__name__
+        raise ValueError(f"config key {key!r} must be {wanted}, got {value!r}")
+
+
 def _pipeline_config(options: dict) -> PipelineConfig:
-    """Run configuration from the options that were given; every default
-    comes from ``PipelineConfig``, ``SmoothConfig`` and ``ThresholdSpec``."""
+    """Run configuration from the options that were given.  Apart from the
+    smoothing and threshold options, each option sets the ``PipelineConfig``
+    field of its name; every default comes from the config classes."""
 
     def given(**fields):
         return {k: v for k, v in fields.items() if v is not None}
 
     get = options.get
-    window = get("step5-window")
-    if isinstance(window, str):
-        window = _parse_window(window)
-    return PipelineConfig(
-        smooth=SmoothConfig(**given(h=get("smooth-window"), kind=get("smooth-kind"))),
-        threshold=ThresholdSpec(
-            **given(
-                kind=get("threshold"),
-                q=get("pot-q"),
-                percentile=get("pot-percentile"),
-                alpha=get("chi2-alpha"),
-            )
-        ),
-        **given(
-            train=get("train"),
-            test=get("test"),
-            data=get("data"),
-            train_end=get("train-end"),
-            label_column=get("label-column"),
-            vif_threshold=get("vif-threshold"),
-            importance=get("importance"),
-            rf_trees=get("rf-trees"),
-            rf_seed=get("rf-seed"),
-            step5_window=window,
-            step5_extra=get("step5-extra"),
-            step5_features=get("step5-features"),
-            top=get("top"),
-            min_cluster_len=get("min-cluster-len"),
-            seed=get("seed"),
-        ),
+    fields = {
+        f.name: get(f.name.replace("_", "-"))
+        for f in dataclasses.fields(PipelineConfig)
+    }
+    if isinstance(fields["step5_window"], str):
+        fields["step5_window"] = _parse_window(fields["step5_window"])
+    fields["smooth"] = SmoothConfig(
+        **given(h=get("smooth-window"), kind=get("smooth-kind"))
     )
+    fields["threshold"] = ThresholdSpec(
+        **given(
+            kind=get("threshold"),
+            q=get("pot-q"),
+            percentile=get("pot-percentile"),
+            alpha=get("chi2-alpha"),
+        )
+    )
+    return PipelineConfig(**given(**fields))
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -266,12 +260,19 @@ def _write_scores_csv(fh, result) -> None:
         writer.writerow([i + result.time_offset, repr(float(s)), int(flags[i])])
 
 
+def _write_rows(path, header: list[str], rows) -> None:
+    """Write a CSV file of ``header`` and then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # handlers
 
 
-def _cmd_detect(options: dict) -> int:
-    cfg = _pipeline_config(options)
+def _cmd_detect(cfg: PipelineConfig, options: dict) -> None:
     model, result, report = run_detect(cfg)
     if options.get("model-out"):
         save_model(model, options["model-out"])
@@ -281,17 +282,12 @@ def _cmd_detect(options: dict) -> int:
         ) as fh:
             _write_scores_csv(fh, result)
     if options.get("intervals-out"):
-        with open(
-            options["intervals-out"], "w", newline="", encoding="utf-8"
-        ) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["start", "end", "length"])
-            for iv in report["detection"]["flagged_intervals"]:
-                writer.writerow([iv["start"], iv["end"], iv["length"]])
+        intervals = report["detection"]["flagged_intervals"]
+        rows = ([iv["start"], iv["end"], iv["length"]] for iv in intervals)
+        _write_rows(options["intervals-out"], ["start", "end", "length"], rows)
     if options.get("summary"):
         _print_summary(report)
     _emit(report, options.get("out"))
-    return EXIT_CODES["ok"]
 
 
 def _print_summary(report: dict) -> None:
@@ -312,15 +308,8 @@ def _print_summary(report: dict) -> None:
     print("\n".join(lines))
 
 
-def _cmd_explain(options: dict) -> int:
-    cfg = _pipeline_config(options)
-    from .pipeline import _resolve_data
-
-    train, test = _resolve_data(cfg)
-    if options.get("model"):
-        model = load_model(options["model"])
-    else:
-        model, _ = _fit_from_config(train, cfg)
+def _cmd_explain(cfg: PipelineConfig, options: dict) -> None:
+    train, test, model = explain_inputs(cfg, options.get("model"))
     result, _ = apply_detector(model, test)
     reports = run_explain(cfg, model, result.flags, train=train, test=test)
     payload = [
@@ -334,28 +323,18 @@ def _cmd_explain(options: dict) -> int:
         for rep in reports
     ]
     _emit(payload, options.get("out"))
-    return EXIT_CODES["ok"]
 
 
-def _cmd_evaluate(options: dict) -> int:
-    cfg = _pipeline_config(options)
-    pred = load_labels(options["pred"], options["pred-column"] or "flag")
-    truth = load_labels(options["truth"], options["truth-column"] or "label")
-    truth = align_labels(truth, cfg.smooth.h)
-    if pred.size != truth.size:
-        raise PipelineError(
-            "evaluate",
-            ValueError(
-                f"prediction length {pred.size} does not match aligned "
-                f"truth length {truth.size}"
-            ),
-        )
+def _cmd_evaluate(cfg: PipelineConfig, options: dict) -> None:
+    pred, truth = load_evaluation_labels(
+        options["pred"], options["pred-column"] or "flag",
+        options["truth"], options["truth-column"] or "label", cfg.smooth.h,
+    )
     block = run_evaluate(pred, truth, cfg.min_cluster_len)
     _emit(block, options.get("out"))
-    return EXIT_CODES["ok"]
 
 
-def _cmd_synth(options: dict) -> int:
+def _cmd_synth(cfg: PipelineConfig, options: dict) -> None:
     groups = tuple(
         _parse_collinear(text) for text in options.get("collinear") or ()
     )
@@ -368,7 +347,7 @@ def _cmd_synth(options: dict) -> int:
         t_test=options["t-test"],
         collinear_groups=groups,
         anomalies=anomalies,
-        seed=options.get("seed") or 0,
+        seed=cfg.seed,
     )
     matrix, truth, spec = generate(config)
     prefix = options.get("out") or "synth"
@@ -376,23 +355,13 @@ def _cmd_synth(options: dict) -> int:
     test_m = matrix.slice_time(spec.train_end, matrix.n_times)
     save_csv(train_m, f"{prefix}_train.csv")
     save_csv(test_m, f"{prefix}_test.csv")
-    _write_truth_csv(
-        f"{prefix}_truth.csv", truth.labels[spec.train_end :]
-    )
+    labels = truth.labels[spec.train_end :]
+    _write_rows(f"{prefix}_truth.csv", ["label"], ([int(v)] for v in labels))
     print(
         f"wrote {prefix}_train.csv ({train_m.n_times} rows), "
         f"{prefix}_test.csv ({test_m.n_times} rows), "
         f"{prefix}_truth.csv"
     )
-    return EXIT_CODES["ok"]
-
-
-def _write_truth_csv(path, labels: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"])
-        for v in labels:
-            writer.writerow([int(v)])
 
 
 def _parse_collinear(text: str) -> CollinearGroup:
@@ -421,35 +390,28 @@ def _parse_anomaly(text: str) -> AnomalySpec:
     )
 
 
-def _cmd_fit(options: dict) -> int:
-    cfg = _pipeline_config(options)
-    matrix, _ = load_csv(options["train"], label_column=cfg.label_column)
-    model, _ = _fit_from_config(matrix, cfg)
+def _cmd_fit(cfg: PipelineConfig, options: dict) -> None:
     out = options.get("out")
     if not out:
         raise ValueError("fit requires --out for the model file")
+    model, _ = load_or_fit_model(cfg, train=cfg.train)
     save_model(model, out)
     print(
-        f"fitted model on {matrix.n_vars} variables "
+        f"fitted model on {model.n_original} variables "
         f"({len(model.retained)} retained), threshold "
         f"{model.threshold_kind} k={model.k:.6g}; saved to {out}"
     )
-    return EXIT_CODES["ok"]
 
 
-def _cmd_score(options: dict) -> int:
-    model = load_model(options["model"])
-    matrix, _ = load_csv(
-        options["data"], label_column=options.get("label-column")
-    )
-    result, _ = apply_detector(model, matrix)
+def _cmd_score(cfg: PipelineConfig, options: dict) -> None:
+    model, _ = load_or_fit_model(cfg, options["model"])
+    result, _ = apply_detector(model, load_matrix(cfg.data, cfg.label_column))
     out = options.get("out")
     if out:
         with open(out, "w", newline="", encoding="utf-8") as fh:
             _write_scores_csv(fh, result)
     else:
         _write_scores_csv(sys.stdout, result)
-    return EXIT_CODES["ok"]
 
 
 if __name__ == "__main__":

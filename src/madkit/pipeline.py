@@ -27,6 +27,8 @@ from .data import (
     SeriesMatrix,
     SplitSpec,
     load_csv,
+    load_labels,
+    load_model,
     split as split_matrix,
 )
 from .importance import (
@@ -38,7 +40,7 @@ from .importance import (
 )
 from .metrics import confusion, extract_clusters, f1, mcc, precision, recall, ric
 from .scoring import fit_scatter, score_all
-from .smoothing import SmoothConfig, smooth_matrix
+from .smoothing import SmoothConfig, align_labels, smooth_matrix
 from .thresholds import (
     ThresholdSpec,
     chi2_threshold,
@@ -88,9 +90,10 @@ def _stage(stage: str, timings: dict | None = None, step: str | None = None):
     """Run a block as pipeline stage ``stage``.
 
     The block's wall-clock time goes to ``timings[step or stage]``.  A
-    ``ValueError``, ``RuntimeError`` or ``OSError`` raised in it becomes
-    ``PipelineError(stage, exc)``; a ``PipelineError`` from a nested stage
-    passes through unchanged.
+    ``ValueError`` or ``RuntimeError`` raised in it becomes
+    ``PipelineError(stage, exc)``, an ``OSError`` (a file that cannot be
+    read or written) ``PipelineError("ingest", exc)``; a ``PipelineError``
+    from a nested stage passes through unchanged.
     """
     t0 = time.perf_counter()
     try:
@@ -98,7 +101,8 @@ def _stage(stage: str, timings: dict | None = None, step: str | None = None):
     except (ValueError, RuntimeError, OSError) as exc:
         if isinstance(exc, PipelineError):
             raise
-        raise PipelineError(stage, exc) from exc
+        failed = "ingest" if isinstance(exc, OSError) else stage
+        raise PipelineError(failed, exc) from exc
     if timings is not None:
         timings[step or stage] = time.perf_counter() - t0
 
@@ -156,23 +160,28 @@ class DetectionResult:
             raise ValueError("scores and flags must have equal length")
 
 
-def _resolve_data(cfg: PipelineConfig):
-    def load(source):
-        if isinstance(source, SeriesMatrix):
-            return source
-        with _stage("ingest"):
-            return load_csv(source, label_column=cfg.label_column)[0]
+def load_matrix(source, label_column: str | None = None) -> SeriesMatrix:
+    """``source`` itself when it is a matrix, else the matrix read, in stage
+    ``ingest``, from the CSV file it names."""
+    if isinstance(source, SeriesMatrix):
+        return source
+    with _stage("ingest"):
+        return load_csv(source, label_column=label_column)[0]
 
+
+def _resolve_data(cfg: PipelineConfig):
     with _stage("config"):
         if cfg.data is not None:
             if cfg.train_end is None:
                 raise ValueError("data source requires train_end")
-            return split_matrix(load(cfg.data), SplitSpec(cfg.train_end))
+            data = load_matrix(cfg.data, cfg.label_column)
+            return split_matrix(data, SplitSpec(cfg.train_end))
         if cfg.train is None or cfg.test is None:
             raise ValueError(
                 "provide train and test sources, or data with train_end"
             )
-        return load(cfg.train), load(cfg.test)
+        train = load_matrix(cfg.train, cfg.label_column)
+        return train, load_matrix(cfg.test, cfg.label_column)
 
 
 def fit_detector(
@@ -270,10 +279,22 @@ def apply_detector(
     return result, {"timing": timings}
 
 
-def _fit_from_config(train: SeriesMatrix, cfg: PipelineConfig):
-    """``fit_detector`` with the smoothing, VIF and threshold settings of
-    ``cfg``."""
+def load_or_fit_model(cfg: PipelineConfig, path=None, train=None):
+    """``(model, fit report)``: the model saved at ``path`` and ``None``
+    or, without a path, ``fit_detector``'s result on ``train`` (a matrix or
+    a CSV file) under ``cfg``'s smoothing, VIF and threshold settings."""
+    if path:
+        with _stage("ingest"):
+            return load_model(path), None
+    train = load_matrix(train, cfg.label_column)
     return fit_detector(train, cfg.smooth, cfg.vif_threshold, cfg.threshold)
+
+
+def explain_inputs(cfg: PipelineConfig, model_path=None):
+    """The train and test blocks of ``cfg`` and the model to explain them
+    with: the one saved at ``model_path``, or one fitted on the train block."""
+    train, test = _resolve_data(cfg)
+    return train, test, load_or_fit_model(cfg, model_path, train)[0]
 
 
 def _threshold_block(model: DetectorModel) -> dict:
@@ -296,7 +317,7 @@ def run_detect(
 ) -> tuple[DetectorModel, DetectionResult, dict]:
     """Run the full detection pipeline from a configuration."""
     train, test = _resolve_data(cfg)
-    model, fit_info = _fit_from_config(train, cfg)
+    model, fit_info = load_or_fit_model(cfg, train=train)
     result, score_info = apply_detector(model, test)
     flags = result.flags.labels
     report = {
@@ -385,8 +406,9 @@ def run_explain(
     """
     smooth = SmoothConfig(model.h, model.filter_kind)
     if cfg.step5_features == "smoothed":
-        feat_test = smooth_matrix(test, smooth)
-        feat_train = smooth_matrix(train, smooth)
+        with _stage("smooth"):
+            feat_test = smooth_matrix(test, smooth)
+            feat_train = smooth_matrix(train, smooth)
     else:
         # raw columns aligned to the smoothed timeline (window ends)
         feat_test = test.slice_time(model.h - 1, test.n_times)
@@ -412,9 +434,24 @@ def run_explain(
     return rf + lr
 
 
+def load_evaluation_labels(pred, pred_column, truth, truth_column, h: int):
+    """The 0/1 ``pred_column`` of CSV file ``pred`` and ``truth_column`` of
+    ``truth``, the truth aligned to the window-``h`` smoothed timeline."""
+    with _stage("ingest"):
+        pred = load_labels(pred, pred_column)
+        truth = load_labels(truth, truth_column)
+    with _stage("config"):
+        return pred, align_labels(truth, h)
+
+
 def run_evaluate(pred, truth, min_cluster_len: int = 1) -> dict:
     """Pointwise and cluster metrics for aligned prediction/truth vectors."""
     with _stage("evaluate"):
+        if len(pred) != len(truth):
+            raise ValueError(
+                f"prediction length {len(pred)} does not match aligned "
+                f"truth length {len(truth)}"
+            )
         counts = confusion(pred, truth)
         clusters = extract_clusters(truth, min_length=min_cluster_len)
         block = {

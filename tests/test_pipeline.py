@@ -535,6 +535,39 @@ def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"smooth_window": "20"}, "'smooth-window' must be int, got '20'"),
+        ({"smooth_window": 2.5}, "'smooth-window' must be int, got 2.5"),
+        ({"pot_q": "0.01"}, "'pot-q' must be float, got '0.01'"),
+        ({"threshold": "max"}, "'threshold' must be one of"),
+    ],
+    ids=["str_for_int", "float_for_int", "str_for_float", "bad_choice"],
+)
+def test_cli_config_values_must_match_flag_types(tmp_path, capsys, entry, message):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(entry), encoding="utf-8")
+    assert main(["detect", "--config", str(cfg_path)]) == EXIT_CODES["config"]
+    assert f"error [config]: config key {message}" in capsys.readouterr().err
+
+
+def test_cli_config_accepts_well_typed_values(tmp_path):
+    # an int passes for a float flag, and null leaves the default
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(
+        '{"vif_threshold": 4, "smooth_window": 3, "threshold": "chi2", '
+        '"chi2_alpha": 0.01, "label_column": null, "summary": true}',
+        encoding="utf-8",
+    )
+    args = _build_parser().parse_args(["detect", "--config", str(cfg_path)])
+    options = _merge_config(args)
+    cfg = _pipeline_config(options)
+    assert (cfg.vif_threshold, cfg.smooth.h, cfg.threshold.kind) == (4, 3, "chi2")
+    assert (cfg.threshold.alpha, cfg.label_column) == (0.01, None)
+    assert options["summary"] is True
+
+
 def test_cli_explicit_zero_beats_config_file(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(
@@ -585,6 +618,51 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["detect", "--train", str(one), "--test", str(good)]
     ) == EXIT_CODES["ingest"]
     assert "need at least two observations" in capsys.readouterr().err
+
+    # ... in fit and score too, which read their CSV through the pipeline
+    train_csv, test_csv, _ = write_corpus(tmp_path)
+    model_path = tmp_path / "m.txt"
+    assert main([
+        "fit", "--train", str(train_csv), "--smooth-window", "20",
+        "--out", str(model_path),
+    ]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["fit", "--train", str(one), "--out", str(tmp_path / "m1.txt")],
+        ["score", "--model", str(model_path), "--data", str(one)],
+    ):
+        assert main(argv) == EXIT_CODES["ingest"], argv
+        assert "error [ingest]: need at least two observations" in (
+            capsys.readouterr().err
+        )
+
+    # an output that cannot be written is an ingest failure too
+    no_dir = tmp_path / "no_dir" / "s.csv"
+    assert main([
+        "score", "--model", str(model_path), "--data", str(test_csv),
+        "--out", str(no_dir),
+    ]) == EXIT_CODES["ingest"]
+    assert "error [ingest]: [Errno 2]" in capsys.readouterr().err
+
+    # fit asks for --out before it reads or fits anything
+    assert main(["fit", "--train", str(tmp_path / "nope.csv")]) == (
+        EXIT_CODES["config"]
+    )
+    assert "fit requires --out" in capsys.readouterr().err
+
+    # explain smooths a training block shorter than the model's window
+    five = tmp_path / "five.csv"
+    five.write_text(
+        "".join(train_csv.read_text(encoding="utf-8").splitlines(True)[:6]),
+        encoding="utf-8",
+    )
+    assert main([
+        "explain", "--train", str(five), "--test", str(test_csv),
+        "--model", str(model_path), "--rf-trees", "5",
+    ]) == EXIT_CODES["smooth"]
+    assert "error [smooth]: series length 5 is shorter than window 20" in (
+        capsys.readouterr().err
+    )
 
     # smoothing window longer than the training series
     assert main(
