@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .data import save_csv, save_model
+from .data import FILTER_KINDS, THRESHOLD_KINDS, save_csv, save_model, split
 from .pipeline import (
     EXIT_CODES,
     PipelineConfig,
@@ -64,13 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="JSON file of flag values")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, help="run seed (default 0)")
 
     def add_step_flags(p):
         p.add_argument("--smooth-window", type=int, metavar="H")
-        p.add_argument("--smooth-kind", choices=("mean", "median"))
+        p.add_argument("--smooth-kind", choices=FILTER_KINDS)
         p.add_argument("--vif-threshold", type=float)
-        p.add_argument("--threshold", choices=("mvt", "pot", "chi2"))
+        p.add_argument("--threshold", choices=THRESHOLD_KINDS)
         p.add_argument("--pot-q", type=float)
         p.add_argument("--pot-percentile", type=float)
         p.add_argument("--chi2-alpha", type=float)
@@ -148,6 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="planted anomaly; repeatable",
     )
     add_common(p)
+    p.add_argument("--seed", type=int, help="run seed (default 0)")
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit a model on training data and save it")
@@ -197,23 +197,41 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _check_config_value(key: str, value, flag: argparse.Action) -> None:
-    """Raise ``ValueError`` unless ``value`` has the argparse ``type`` of
-    the flag behind config key ``key``, if it has one (an int passes for a
-    float), and is one of the flag's ``choices``, if it has them."""
-    types = {int: (int,), float: (int, float)}.get(flag.type, (type(value),))
-    if type(value) not in types or flag.choices and value not in flag.choices:
-        wanted = f"one of {flag.choices}" if flag.choices else flag.type.__name__
+    """Raise ``ValueError`` unless ``value`` suits the flag behind config
+    key ``key``: a ``bool`` for a switch, a list of ``str`` for a repeatable
+    flag, one of its ``choices`` if it has them, else its argparse ``type``
+    (an int passes for a float) or, without one, a ``str``.
+    ``step5-window`` also takes a list of two ints."""
+    if flag.nargs == 0:
+        wanted, ok = "bool", type(value) is bool
+    elif isinstance(flag, argparse._AppendAction):
+        wanted, ok = "list of str", _is_list_of(value, str)
+    elif flag.choices:
+        wanted, ok = f"one of {flag.choices}", value in flag.choices
+    else:
+        wanted = getattr(flag.type, "__name__", "str")
+        types = {int: (int,), float: (int, float)}.get(flag.type, (str,))
+        ok = type(value) in types
+        if key == "step5-window":
+            wanted = "START:END or a list of two ints"
+            ok = ok or _is_list_of(value, int) and len(value) == 2
+    if not ok:
         raise ValueError(f"config key {key!r} must be {wanted}, got {value!r}")
+
+
+def _is_list_of(value, kind: type) -> bool:
+    return type(value) is list and all(type(v) is kind for v in value)
+
+
+def _given(**fields) -> dict:
+    """``fields`` without the ones that are ``None``."""
+    return {k: v for k, v in fields.items() if v is not None}
 
 
 def _pipeline_config(options: dict) -> PipelineConfig:
     """Run configuration from the options that were given.  Apart from the
     smoothing and threshold options, each option sets the ``PipelineConfig``
     field of its name; every default comes from the config classes."""
-
-    def given(**fields):
-        return {k: v for k, v in fields.items() if v is not None}
-
     get = options.get
     fields = {
         f.name: get(f.name.replace("_", "-"))
@@ -222,17 +240,17 @@ def _pipeline_config(options: dict) -> PipelineConfig:
     if isinstance(fields["step5_window"], str):
         fields["step5_window"] = _parse_window(fields["step5_window"])
     fields["smooth"] = SmoothConfig(
-        **given(h=get("smooth-window"), kind=get("smooth-kind"))
+        **_given(h=get("smooth-window"), kind=get("smooth-kind"))
     )
     fields["threshold"] = ThresholdSpec(
-        **given(
+        **_given(
             kind=get("threshold"),
             q=get("pot-q"),
             percentile=get("pot-percentile"),
             alpha=get("chi2-alpha"),
         )
     )
-    return PipelineConfig(**given(**fields))
+    return PipelineConfig(**_given(**fields))
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -347,12 +365,11 @@ def _cmd_synth(cfg: PipelineConfig, options: dict) -> None:
         t_test=options["t-test"],
         collinear_groups=groups,
         anomalies=anomalies,
-        seed=cfg.seed,
+        **_given(seed=options.get("seed")),
     )
     matrix, truth, spec = generate(config)
     prefix = options.get("out") or "synth"
-    train_m = matrix.slice_time(0, spec.train_end)
-    test_m = matrix.slice_time(spec.train_end, matrix.n_times)
+    train_m, test_m = split(matrix, spec)
     save_csv(train_m, f"{prefix}_train.csv")
     save_csv(test_m, f"{prefix}_test.csv")
     labels = truth.labels[spec.train_end :]

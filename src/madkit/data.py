@@ -44,8 +44,6 @@ class SeriesMatrix:
         Unique variable names, one per row.
     values : ndarray, shape (n, T)
         Finite float64 observations. Treated as immutable after construction.
-    period_seconds : float, optional
-        Sampling period metadata; no computation depends on it.
     time_offset : int
         Index in the original timeline that column 0 corresponds to.  Raw
         ingested data has offset 0; smoothing advances it by ``h - 1``.
@@ -53,7 +51,6 @@ class SeriesMatrix:
 
     names: list[str]
     values: np.ndarray
-    period_seconds: float | None = None
     time_offset: int = 0
 
     def __post_init__(self):
@@ -75,8 +72,6 @@ class SeriesMatrix:
                 f"non-finite value for variable {self.names[bad[0]]!r} "
                 f"at position {bad[1]}"
             )
-        if self.period_seconds is not None and not self.period_seconds > 0:
-            raise ValueError("period_seconds must be positive")
         if self.time_offset < 0:
             raise ValueError("time_offset must be non-negative")
 
@@ -94,7 +89,6 @@ class SeriesMatrix:
         return SeriesMatrix(
             names=[self.names[i] for i in indices],
             values=self.values[indices],
-            period_seconds=self.period_seconds,
             time_offset=self.time_offset,
         )
 
@@ -103,7 +97,6 @@ class SeriesMatrix:
         return SeriesMatrix(
             names=list(self.names),
             values=self.values[:, start:stop],
-            period_seconds=self.period_seconds,
             time_offset=self.time_offset + start,
         )
 

@@ -17,14 +17,11 @@ an optional tail of known-normal training rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabelVector, SeriesMatrix
-
-PROVENANCE_WINDOW = "test-window"
-PROVENANCE_TAIL = "training-tail"
 
 
 class SingleClassError(ValueError):
@@ -44,13 +41,12 @@ class ExplainDataset:
     """Rows to classify: flagged-window observations plus normal tail rows.
 
     ``features`` is (N, p) in original variable order, ``targets`` the 0/1
-    class per row, ``provenance`` one of the module's provenance strings.
+    class per row.
     """
 
     features: np.ndarray
     targets: np.ndarray
     feature_names: list[str]
-    provenance: list[str]
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -58,8 +54,8 @@ class ExplainDataset:
         n, p = self.features.shape
         if n < 2:
             raise ValueError("need at least two rows")
-        if self.targets.shape != (n,) or len(self.provenance) != n:
-            raise ValueError("targets and provenance must have one entry per row")
+        if self.targets.shape != (n,):
+            raise ValueError("targets must have one entry per row")
         if len(self.feature_names) != p:
             raise ValueError("one name per feature column")
         classes = np.unique(self.targets)
@@ -111,7 +107,6 @@ def assemble_explain_dataset(
         )
     rows = [test.values[:, start:stop].T]
     targets = [f[start:stop]]
-    provenance = [PROVENANCE_WINDOW] * (stop - start)
     if n_extra < 0:
         raise ValueError("n_extra must be non-negative")
     if n_extra > 0:
@@ -123,12 +118,10 @@ def assemble_explain_dataset(
             raise ValueError("n_extra exceeds the training tail length")
         rows.append(train_tail.values[:, train_tail.n_times - n_extra :].T)
         targets.append(np.zeros(n_extra, dtype=np.int8))
-        provenance += [PROVENANCE_TAIL] * n_extra
     return ExplainDataset(
         features=np.vstack(rows),
         targets=np.concatenate(targets),
         feature_names=list(test.names),
-        provenance=provenance,
     )
 
 
@@ -213,12 +206,10 @@ class Forest:
     """A bag of trees with the sampling parameters that grew them."""
 
     trees: list[DecisionTree]
-    tree_seeds: list[int]
     n_trees: int
     t_min: int
     q_features: int
     n_features: int
-    feature_names: list[str] = field(default_factory=list)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Majority vote across trees; exact ties vote for class 1."""
@@ -368,21 +359,16 @@ def train_forest(
         q_features = max(1, int(math.isqrt(p)))
     if not 1 <= q_features <= p:
         raise ValueError(f"q_features must lie in 1 .. {p}")
-    tree_seeds = [
-        int(s) for s in np.random.SeedSequence(seed).generate_state(n_trees)
-    ]
     trees = [
-        _grow_tree(data.features, data.targets, t_min, q_features, ts)
-        for ts in tree_seeds
+        _grow_tree(data.features, data.targets, t_min, q_features, int(s))
+        for s in np.random.SeedSequence(seed).generate_state(n_trees)
     ]
     return Forest(
         trees=trees,
-        tree_seeds=tree_seeds,
         n_trees=n_trees,
         t_min=t_min,
         q_features=q_features,
         n_features=p,
-        feature_names=list(data.feature_names),
     )
 
 
@@ -497,14 +483,14 @@ def rcde(data: ExplainDataset, ridge: float = 1e-6) -> ImportanceReport:
     predictor this is exactly 1.  Raises when the full model explains no
     deviance.
     """
-    y = data.targets.astype(np.float64)
-    _, _, d_full, _ = _fit_glm(data.features, y, ridge)
-    d_null = _null_deviance(y)
+    full = fit_logistic(data, ridge)
+    d_null, d_full = full.d_null, full.d_full
     denom = d_null - d_full
     if not denom > 0.0:
         raise ValueError(
             "full model explains no deviance; RCDE is undefined"
         )
+    y = data.targets.astype(np.float64)
     p = data.n_features
     scores = np.empty(p)
     for j in range(p):

@@ -5,8 +5,8 @@ fit_scatter, score, threshold, flag.  Fitting touches only training data;
 scoring applies the fitted model to the test block.  Each run produces a
 JSON-serializable report that records the step order, per-step wall-clock
 timings (training fit and test scoring separately), the pruning trace, and
-the threshold.  Reports are deterministic for fixed inputs and seed except
-for the ``timing`` block.
+the threshold.  Reports are deterministic for fixed inputs and configuration
+except for the ``timing`` block.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +131,6 @@ class PipelineConfig:
     step5_features: str = "smoothed"
     top: int = 5
     min_cluster_len: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.importance not in ("rf", "lr", "both"):
@@ -300,15 +299,7 @@ def explain_inputs(cfg: PipelineConfig, model_path=None):
 def _threshold_block(model: DetectorModel) -> dict:
     block = {"kind": model.threshold_kind, "k": model.k}
     if model.gpd is not None:
-        g = model.gpd
-        block["gpd"] = {
-            "gamma": g.gamma,
-            "delta": g.delta,
-            "l": g.l,
-            "t_l": g.t_l,
-            "t_total": g.t_total,
-            "loglik": g.loglik,
-        }
+        block["gpd"] = asdict(model.gpd)
     return block
 
 
@@ -348,9 +339,9 @@ def run_detect(
 def report_core(report: dict) -> dict:
     """Copy of a detection report without the wall-clock timing block.
 
-    Everything in the core is a pure function of inputs, configuration,
-    and seed, so two runs on identical inputs produce byte-identical
-    JSON serialisations of it.
+    Everything in the core is a pure function of inputs and configuration,
+    so two runs on identical inputs produce byte-identical JSON
+    serialisations of it.
     """
     return {k: copy.deepcopy(v) for k, v in report.items() if k != "timing"}
 
@@ -373,7 +364,6 @@ def _config_block(cfg: PipelineConfig) -> dict:
         "pot_q": cfg.threshold.q,
         "pot_percentile": cfg.threshold.percentile,
         "chi2_alpha": cfg.threshold.alpha,
-        "seed": cfg.seed,
     }
 
 
@@ -455,12 +445,7 @@ def run_evaluate(pred, truth, min_cluster_len: int = 1) -> dict:
         counts = confusion(pred, truth)
         clusters = extract_clusters(truth, min_length=min_cluster_len)
         block = {
-            "counts": {
-                "tp": counts.tp,
-                "fp": counts.fp,
-                "tn": counts.tn,
-                "fn": counts.fn,
-            },
+            "counts": asdict(counts),
             "precision": precision(counts),
             "recall": recall(counts),
             "f1": f1(counts),

@@ -3,10 +3,9 @@
 The scatter of the centered, reduced training block ``D`` with ``T``
 columns is ``sigma = D D' / T`` (population normalization, 1/T rather than
 1/(T-1)).  Scores are computed through the Cholesky factor with triangular
-solves; the inverse of sigma is never formed.  An eigendecomposition view
-is provided for diagnostics: with ``xi = V' x`` the squared score equals
-``sum_i xi_i^2 / lambda_i``, and splitting that sum at a variance-fraction
-cutoff separates the score into leading and tail subspace contributions.
+solves; the inverse of sigma is never formed.  An eigendecomposition of
+sigma is provided for diagnostics such as its eigenvalue extremes and
+condition number.
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ class EigenBasis:
 
 
 def eigen_basis(fit: ScatterFit, alpha: float = 0.99) -> EigenBasis:
-    """Eigendecompose ``fit.sigma`` for diagnostic score splitting."""
+    """Eigendecompose ``fit.sigma`` for diagnostics."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     lam, vec = np.linalg.eigh(fit.sigma)
@@ -141,25 +140,3 @@ def eigen_basis(fit: ScatterFit, alpha: float = 0.99) -> EigenBasis:
     fractions = np.cumsum(lam) / lam.sum()
     p = int(np.argmax(fractions > alpha)) + 1
     return EigenBasis(eigenvalues=lam, vectors=vec, p=p, alpha=alpha)
-
-
-def decompose_score(
-    fit: ScatterFit, basis: EigenBasis, x: np.ndarray
-) -> tuple[float, float]:
-    """Split the squared score of ``x`` into (leading, tail) subspace parts.
-
-    The parts sum to ``score(fit, x) ** 2`` up to rounding.  Raises if the
-    basis does not reproduce ``fit.sigma``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (fit.m,) or basis.vectors.shape != (fit.m, fit.m):
-        raise ValueError("dimension mismatch between fit, basis, and x")
-    recon = (basis.vectors * basis.eigenvalues) @ basis.vectors.T
-    scale = np.abs(fit.sigma).max()
-    if np.abs(recon - fit.sigma).max() > 1e-8 * max(scale, 1e-300):
-        raise ValueError("eigenbasis does not match this scatter fit")
-    xi = basis.vectors.T @ x
-    contrib = xi * xi / basis.eigenvalues
-    leading = float(contrib[: basis.p].sum())
-    tail = float(contrib[basis.p :].sum())
-    return leading, tail

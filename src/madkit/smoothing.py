@@ -65,7 +65,6 @@ def smooth_matrix(matrix: SeriesMatrix, config: SmoothConfig) -> SeriesMatrix:
     return SeriesMatrix(
         names=list(matrix.names),
         values=smoothed,
-        period_seconds=matrix.period_seconds,
         time_offset=matrix.time_offset + config.h - 1,
     )
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, stats
 
-from .data import GpdParameters, LabelVector
+from .data import THRESHOLD_KINDS, GpdParameters, LabelVector
 
 # below this many exceedances a tail fit is not trustworthy
 MIN_EXCEEDANCES = 30
@@ -44,7 +44,7 @@ class ThresholdSpec:
     alpha: float = 0.01
 
     def __post_init__(self):
-        if self.kind not in ("mvt", "pot", "chi2"):
+        if self.kind not in THRESHOLD_KINDS:
             raise ValueError("kind must be 'mvt', 'pot', or 'chi2'")
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie strictly between 0 and 1")

@@ -6,6 +6,8 @@ failure) in addition to the usual per-test verdict from -v.
 
 import math
 import os
+import statistics
+import sys
 import time
 from collections import Counter
 from itertools import groupby
@@ -24,6 +26,14 @@ from madkit.smoothing import SmoothConfig, align_labels
 from madkit.synthetic import AnomalySpec, CollinearGroup, SynthConfig, generate
 from madkit.thresholds import ThresholdSpec, fit_gpd, flag, mvt_threshold, pot_threshold
 from madkit.importance import ExplainDataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from calibrate import calibrate  # noqa: E402
+
+# criterion 6's ceiling on library time over calibration time.  On a 2-vCPU
+# VM the vectorised metrics read 8.7-11.5 and the per-element ones before
+# them 27-39, so the ceiling has a margin of 1.5x on both sides.
+METRICS_CALIBRATION_RATIO = 18.0
 
 
 def report(n, detail):
@@ -194,7 +204,10 @@ def brute_runs(truth):
 
 def test_criterion_06_metric_oracle_equivalence():
     """Prec/Recall/F1/MCC/RIC equal a brute-force reference on 1000 seeded
-    label pairs of length 1e4; the madkit metric calls take under 10 s.
+    label pairs of length 1e4; the madkit metric calls take under 10 s,
+    and under ``METRICS_CALIBRATION_RATIO`` times the machine's current
+    calibration time (``perfbench/calibrate.py``), which scales with the
+    machine's speed where the fixed budget does not.
 
     Only the library calls are timed: the stdlib oracle is several seconds
     of pure-Python work that no change to madkit can speed up."""
@@ -232,11 +245,17 @@ def test_criterion_06_metric_oracle_equivalence():
             ric_value = ric(pred, clusters)
             library_s += time.perf_counter() - t0
             assert ric_value == covered / len(runs)
+    calibration_s = statistics.median(calibrate() for _ in range(3))
+    ratio = library_s / calibration_s
     assert library_s < 10.0, f"{library_s:.2f}s in madkit metrics"
+    assert ratio < METRICS_CALIBRATION_RATIO, (
+        f"{library_s:.2f}s in madkit metrics is {ratio:.2f}x "
+        f"the {calibration_s:.3f}s calibration"
+    )
     report(
         6,
         f"1000 pairs x {n} points, exact agreement, "
-        f"{library_s:.2f}s in madkit metrics",
+        f"{library_s:.2f}s in madkit metrics, {ratio:.2f}x calibration",
     )
 
 
@@ -471,7 +490,6 @@ def test_criterion_10_importance_sanity():
             features=x,
             targets=y,
             feature_names=[f"f{i}" for i in range(p)],
-            provenance=["test-window"] * n,
         )
         forest = train_forest(ds, n_trees=50, seed=seed)
         scores = dict(gini_importance(forest, ds).ranking)
@@ -487,7 +505,6 @@ def test_criterion_10_importance_sanity():
         features=x,
         targets=y,
         feature_names=["f0"],
-        provenance=["test-window"] * 200,
     )
     single = rcde(ds).ranking[0][1]
     assert single == 1.0

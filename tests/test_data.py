@@ -91,9 +91,9 @@ def test_matrix_slice_time_advances_offset():
     assert np.array_equal(sub.values, m.values[:, 3:8])
 
 
-def test_matrix_period_must_be_positive():
-    with pytest.raises(ValueError, match="period"):
-        SeriesMatrix(names=["a"], values=np.zeros((1, 3)), period_seconds=0.0)
+def test_matrix_has_no_period_field():
+    with pytest.raises(TypeError, match="period_seconds"):
+        SeriesMatrix(names=["a"], values=np.zeros((1, 3)), period_seconds=1.0)
 
 
 # ---------------------------------------------------------------------------

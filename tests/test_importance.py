@@ -22,12 +22,11 @@ from madkit.importance import (
 
 def make_dataset(features, targets, names=None):
     features = np.asarray(features, dtype=np.float64)
-    n, p = features.shape
+    p = features.shape[1]
     return ExplainDataset(
         features=features,
         targets=np.asarray(targets),
         feature_names=names or [f"f{i}" for i in range(p)],
-        provenance=["test-window"] * n,
     )
 
 
@@ -61,8 +60,6 @@ def test_assemble_window_and_tail():
     # tail rows come from the end of the training block, labeled normal
     assert np.array_equal(ds.features[4:], train.values[:, -3:].T)
     assert np.array_equal(ds.targets, np.array([0, 1, 1, 0, 0, 0, 0]))
-    assert ds.provenance[:4] == ["test-window"] * 4
-    assert ds.provenance[4:] == ["training-tail"] * 3
 
 
 def test_assemble_requires_both_classes():

@@ -535,20 +535,37 @@ def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+EVALUATE_ARGV = ["evaluate", "--pred", "p.csv", "--truth", "t.csv"]
+SYNTH_ARGV = ["synth", "--n", "4", "--t-train", "500", "--t-test", "200"]
+
+
 @pytest.mark.parametrize(
-    "entry, message",
+    "argv, entry, message",
     [
-        ({"smooth_window": "20"}, "'smooth-window' must be int, got '20'"),
-        ({"smooth_window": 2.5}, "'smooth-window' must be int, got 2.5"),
-        ({"pot_q": "0.01"}, "'pot-q' must be float, got '0.01'"),
-        ({"threshold": "max"}, "'threshold' must be one of"),
+        (["detect"], {"smooth_window": "20"}, "'smooth-window' must be int, got '20'"),
+        (["detect"], {"smooth_window": 2.5}, "'smooth-window' must be int, got 2.5"),
+        (["detect"], {"pot_q": "0.01"}, "'pot-q' must be float, got '0.01'"),
+        (["detect"], {"threshold": "max"}, "'threshold' must be one of"),
+        (["detect"], {"train": 5, "test": 6}, "'train' must be str, got 5"),
+        (EVALUATE_ARGV, {"out": 1}, "'out' must be str, got 1"),
+        (["explain"], {"step5_window": [1]},
+         "'step5-window' must be START:END or a list of two ints, got [1]"),
+        (["detect"], {"summary": "yes"}, "'summary' must be bool, got 'yes'"),
+        (SYNTH_ARGV, {"anomaly": "600:10:1:5.0"},
+         "'anomaly' must be list of str, got '600:10:1:5.0'"),
     ],
-    ids=["str_for_int", "float_for_int", "str_for_float", "bad_choice"],
+    ids=[
+        "str_for_int", "float_for_int", "str_for_float", "bad_choice",
+        "int_for_path", "int_for_out", "short_window", "str_for_switch",
+        "str_for_repeatable",
+    ],
 )
-def test_cli_config_values_must_match_flag_types(tmp_path, capsys, entry, message):
+def test_cli_config_values_must_match_flag_types(
+    tmp_path, capsys, argv, entry, message
+):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(entry), encoding="utf-8")
-    assert main(["detect", "--config", str(cfg_path)]) == EXIT_CODES["config"]
+    assert main([*argv, "--config", str(cfg_path)]) == EXIT_CODES["config"]
     assert f"error [config]: config key {message}" in capsys.readouterr().err
 
 
@@ -566,6 +583,14 @@ def test_cli_config_accepts_well_typed_values(tmp_path):
     assert (cfg.vif_threshold, cfg.smooth.h, cfg.threshold.kind) == (4, 3, "chi2")
     assert (cfg.threshold.alpha, cfg.label_column) == (0.01, None)
     assert options["summary"] is True
+
+    # a window as a list of two ints, and a repeatable flag as a list
+    cfg_path.write_text('{"step5_window": [600, 1800]}', encoding="utf-8")
+    args = _build_parser().parse_args(["explain", "--config", str(cfg_path)])
+    assert tuple(_pipeline_config(_merge_config(args)).step5_window) == (600, 1800)
+    cfg_path.write_text('{"anomaly": ["600:10:1:5.0"]}', encoding="utf-8")
+    args = _build_parser().parse_args([*SYNTH_ARGV, "--config", str(cfg_path)])
+    assert _merge_config(args)["anomaly"] == ["600:10:1:5.0"]
 
 
 def test_cli_explicit_zero_beats_config_file(tmp_path):

@@ -8,7 +8,6 @@ from madkit.scoring import (
     EigenBasis,
     ScatterFit,
     SingularCovarianceError,
-    decompose_score,
     eigen_basis,
     fit_scatter,
     score,
@@ -169,41 +168,3 @@ def test_eigen_alpha_validation():
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError, match="alpha"):
             eigen_basis(fit, alpha=bad)
-
-
-def test_decompose_parts_sum_to_squared_score():
-    rng = np.random.default_rng(10)
-    centered, _ = center(rng.standard_normal((6, 300)))
-    fit = fit_scatter(centered)
-    basis = eigen_basis(fit, alpha=0.7)
-    for _ in range(10):
-        x = rng.standard_normal(6)
-        leading, tail = decompose_score(fit, basis, x)
-        md2 = score(fit, x) ** 2
-        assert leading >= 0 and tail >= 0
-        assert abs(leading + tail - md2) < 1e-10 * max(md2, 1.0)
-    assert basis.p < 6  # split is non-trivial at alpha = 0.7
-
-
-def test_decompose_rejects_foreign_basis():
-    rng = np.random.default_rng(11)
-    centered, _ = center(rng.standard_normal((4, 100)))
-    fit_a = fit_scatter(centered)
-    fit_b = fit_scatter(center(rng.standard_normal((4, 100)))[0])
-    basis_b = eigen_basis(fit_b, alpha=0.9)
-    with pytest.raises(ValueError, match="does not match"):
-        decompose_score(fit_a, basis_b, np.zeros(4))
-
-
-def test_dominant_direction_splits_into_leading_part():
-    # an excursion along the top eigenvector lands in the leading subspace
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((4, 500))
-    a[0] *= 5.0  # one dominant variance direction
-    centered, _ = center(a)
-    fit = fit_scatter(centered)
-    basis = eigen_basis(fit, alpha=0.5)
-    x = basis.vectors[:, 0] * 10.0
-    leading, tail = decompose_score(fit, basis, x)
-    assert leading > 0
-    assert tail < 1e-20 * leading
