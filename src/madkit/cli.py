@@ -21,7 +21,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .data import FILTER_KINDS, THRESHOLD_KINDS, save_csv, save_model, split
+from .metrics import ClusterColumns
 from .pipeline import (
     EXIT_CODES,
     PipelineConfig,
@@ -39,6 +42,15 @@ from .pipeline import (
 from .smoothing import SmoothConfig
 from .synthetic import AnomalySpec, CollinearGroup, SynthConfig, generate
 from .thresholds import ThresholdSpec
+
+
+# options a command cannot run without, from its flags or its --config file
+_REQUIRED = {
+    "evaluate": ("pred", "truth"),
+    "synth": ("n", "t-train", "t-test"),
+    "fit": ("train",),
+    "score": ("model", "data"),
+}
 
 
 def main(argv=None) -> int:
@@ -116,8 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_explain)
 
     p = sub.add_parser("evaluate", help="compare predictions against truth")
-    p.add_argument("--pred", required=True, help="CSV holding predictions")
-    p.add_argument("--truth", required=True, help="CSV holding ground truth")
+    p.add_argument("--pred", help="CSV holding predictions (required)")
+    p.add_argument("--truth", help="CSV holding ground truth (required)")
     p.add_argument("--pred-column", help="0/1 column of --pred (default flag)")
     p.add_argument("--truth-column", help="0/1 column of --truth (default label)")
     p.add_argument(
@@ -131,9 +143,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
-    p.add_argument("--n", type=int, required=True, help="variable count")
-    p.add_argument("--t-train", type=int, required=True)
-    p.add_argument("--t-test", type=int, required=True)
+    p.add_argument("--n", type=int, help="variable count (required)")
+    p.add_argument("--t-train", type=int, help="training rows (required)")
+    p.add_argument("--t-test", type=int, help="test rows (required)")
     p.add_argument(
         "--collinear",
         action="append",
@@ -151,14 +163,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit a model on training data and save it")
-    p.add_argument("--train", required=True, help="training CSV")
+    p.add_argument("--train", help="training CSV (required)")
     add_step_flags(p)
     add_common(p)
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("score", help="apply a saved model to data")
-    p.add_argument("--model", required=True, help="model file from fit/detect")
-    p.add_argument("--data", required=True, help="CSV to score")
+    p.add_argument("--model", help="model file from fit/detect (required)")
+    p.add_argument("--data", help="CSV to score (required)")
     p.add_argument("--label-column", help="label column to strip from data")
     add_common(p)
     p.set_defaults(handler=_cmd_score)
@@ -170,7 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Flag values merged over the --config file, dashes normalized."""
+    """Flag values merged over the --config file, dashes normalized; a
+    ``ValueError`` names the command's ``_REQUIRED`` options still unset."""
     options = {
         k.replace("_", "-"): v
         for k, v in vars(args).items()
@@ -193,6 +206,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
             # an explicit 0 given on the command line wins (0 == False)
             if options[key] is None or options[key] is False:
                 options[key] = value
+    required = _REQUIRED.get(args.command, ())
+    missing = [f"--{key}" for key in required if options[key] is None]
+    if missing:
+        raise ValueError(
+            "the following arguments are required: " + ", ".join(missing)
+        )
     return options
 
 
@@ -261,12 +280,44 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise ValueError(f"window must look like START:END, got {text!r}")
 
 
+# _emit's placeholder, a "clusters" member set to "\0", as json.dumps
+# writes it, and one cluster record as json.dumps(indent=2) lays it out in
+# a list that is a top-level member
+_CLUSTERS_SPLICE = '"clusters": "\\u0000"'
+_CLUSTER_RECORD = (
+    '    {\n      "start": %d,\n      "end": %d,\n      "length": %d\n    }'
+)
+
+
 def _emit(payload: dict | list, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    """Write ``payload`` as ``json.dumps(payload, indent=2)`` and a newline.
+
+    A ``clusters`` member holding :class:`ClusterColumns` is written as the
+    list of its ``{"start", "end", "length"}`` records: the rest of the
+    payload is dumped with a placeholder there, and the records are
+    rendered from the columns and spliced in, in the same bytes.
+    """
+    clusters = payload.get("clusters") if isinstance(payload, dict) else None
+    if isinstance(clusters, ClusterColumns):
+        text = json.dumps({**payload, "clusters": "\0"}, indent=2)
+        records = '"clusters": ' + _cluster_list(clusters)
+        text = text.replace(_CLUSTERS_SPLICE, records, 1) + "\n"
+    else:
+        text = json.dumps(payload, indent=2) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _cluster_list(clusters: ClusterColumns) -> str:
+    """``json.dumps(records, indent=2)`` of the cluster records, indented one
+    level deeper, as in a top-level member of a dict."""
+    if not clusters:
+        return "[]"
+    table = np.column_stack((clusters.starts, clusters.ends, clusters.lengths))
+    records = ",\n".join([_CLUSTER_RECORD] * len(clusters))
+    return "[\n" + records % tuple(table.ravel().tolist()) + "\n  ]"
 
 
 def _write_scores_csv(fh, result) -> None:

@@ -374,8 +374,71 @@ def load_labels(path, column: str) -> np.ndarray:
 
     The header, row widths and label cells get :func:`load_csv`'s checks
     and messages; the other columns are not parsed.
+
+    A well-formed file is read in bulk from its bytes: the header through
+    the ``csv`` module, the body by locating newlines and commas with numpy
+    (:func:`_read_labels_bulk`).  Any other file (a ragged row, a label
+    cell other than ``0``/``1``, no data rows, a quote, carriage return or
+    NUL byte, invalid UTF-8, a line over ``csv.field_size_limit()``) goes
+    to the row-by-row reader, :func:`_read_labels_rows`, which raises the
+    error with the file's own line number.
     """
     path = Path(path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    labels = _read_labels_bulk(raw, column, path)
+    return labels if labels is not None else _read_labels_rows(path, column)
+
+
+def _read_labels_bulk(raw: bytes, column: str, path) -> np.ndarray | None:
+    """The labels in file contents ``raw``, or ``None`` unless every
+    non-blank body line has the header's field count, every label cell is
+    the one byte ``0`` or ``1``, there is at least one, and the csv module
+    would split each line at its commas alone (a non-empty file with no
+    quote, ``\r`` or NUL byte, valid UTF-8, no line over the field size
+    limit).  The csv module reads those files to the same labels.  A bad
+    header raises here, with :func:`load_csv`'s message."""
+    if not raw or b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return None
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], newlines + 1))
+    ends = np.append(newlines, buf.size)
+    if (ends - starts).max() > csv.field_size_limit():
+        return None
+    header = _read_header(csv.reader([raw[: ends[0]].decode("utf-8")]), path)
+    ci = _column_index(header, column, path)
+    width = len(header)
+    body = ends[1:] > starts[1:]  # blank lines are skipped
+    starts, ends = starts[1:][body], ends[1:][body]
+    # the header holds the first width - 1 commas; row r must hold the
+    # r-th block of width - 1 after them, and then it holds no others
+    commas = np.flatnonzero(buf == ord(","))[width - 1 :]
+    if starts.size == 0 or commas.size != starts.size * (width - 1):
+        return None
+    commas = commas.reshape(starts.size, width - 1)
+    if width > 1 and (
+        (commas[:, 0] < starts).any() or (commas[:, -1] >= ends).any()
+    ):
+        return None
+    cell_starts = commas[:, ci - 1] + 1 if ci > 0 else starts
+    cell_ends = commas[:, ci] if ci < width - 1 else ends
+    cells = buf[cell_starts]
+    if (cell_ends - cell_starts != 1).any() or (
+        (cells != ord("0")) & (cells != ord("1"))
+    ).any():
+        return None
+    return (cells == ord("1")).view(np.int8)
+
+
+def _read_labels_rows(path, column: str) -> np.ndarray:
+    """:func:`load_labels` row by row through the ``csv`` module: the path
+    for every file the bulk reader declines, and its test oracle."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path)

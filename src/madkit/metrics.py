@@ -9,8 +9,8 @@ the truth that receive at least one predicted positive.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +36,47 @@ class AnomalyCluster(NamedTuple):
     start: int
     end: int
     length: int
+
+
+class ClusterColumns(Sequence):
+    """Clusters held as two int64 columns, ``starts`` and ``ends``.
+
+    A read-only sequence of :class:`AnomalyCluster`: ``len`` is the cluster
+    count, indexing and iteration give records of Python ints, and it
+    equals any sequence of the same records (an empty one equals ``[]``).
+    Bulk consumers read the columns and ``lengths`` without building them.
+    """
+
+    __slots__ = ("starts", "ends")
+
+    def __init__(self, starts: np.ndarray, ends: np.ndarray):
+        self.starts = starts
+        self.ends = ends
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return self.ends - self.starts + 1
+
+    def __len__(self) -> int:
+        return self.starts.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ClusterColumns(self.starts[i], self.ends[i])
+        start, end = int(self.starts[i]), int(self.ends[i])
+        return AnomalyCluster(start, end, end - start + 1)
+
+    def __iter__(self):
+        columns = (self.starts.tolist(), self.ends.tolist(), self.lengths.tolist())
+        return map(AnomalyCluster, *columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"ClusterColumns({list(self)!r})"
 
 
 def _as_binary(vec, what: str) -> np.ndarray:
@@ -87,8 +128,9 @@ def mcc(c: ConfusionCounts) -> float:
     return num / math.sqrt(factors)
 
 
-def extract_clusters(truth, min_length: int = 1) -> list[AnomalyCluster]:
-    """Maximal runs of 1s in ``truth`` that are at least ``min_length`` long."""
+def extract_clusters(truth, min_length: int = 1) -> ClusterColumns:
+    """Maximal runs of 1s in ``truth`` that are at least ``min_length`` long,
+    in order, as :class:`ClusterColumns`."""
     if min_length < 1:
         raise ValueError("min_length must be at least 1")
     t = _as_binary(truth, "truth")
@@ -96,24 +138,24 @@ def extract_clusters(truth, min_length: int = 1) -> list[AnomalyCluster]:
     edges = np.diff(padded)
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
-    lengths = ends - starts + 1
-    keep = lengths >= min_length
-    columns = (starts[keep].tolist(), ends[keep].tolist(), lengths[keep].tolist())
-    return list(map(AnomalyCluster, *columns))
+    keep = ends - starts + 1 >= min_length
+    return ClusterColumns(starts[keep], ends[keep])
 
 
-def ric(pred, clusters: list[AnomalyCluster]) -> float:
-    """Fraction of clusters overlapping at least one predicted positive."""
+def ric(pred, clusters: ClusterColumns) -> float:
+    """Fraction of clusters overlapping at least one predicted positive.
+
+    ``clusters`` is :func:`extract_clusters`'s result; its ``starts`` and
+    ``ends`` columns are read directly.
+    """
     if not clusters:
         raise ValueError("no clusters to identify")
     p = _as_binary(pred, "pred")
-    k = len(clusters)
-    starts = np.fromiter(map(attrgetter("start"), clusters), np.int64, k)
-    ends = np.fromiter(map(attrgetter("end"), clusters), np.int64, k)
+    starts, ends = clusters.starts, clusters.ends
     if ends.max() >= p.size:
         raise ValueError("prediction vector does not cover the clusters")
     # cs[i] counts the positives in p[:i], so a cluster is hit when
     # cs[end + 1] - cs[start] > 0
     cs = np.concatenate(([0], np.cumsum(p, dtype=np.int64)))
     hit = int(np.count_nonzero(cs[ends + 1] - cs[starts] > 0))
-    return hit / k
+    return hit / len(clusters)

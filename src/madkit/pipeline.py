@@ -171,6 +171,11 @@ def load_matrix(source, label_column: str | None = None) -> SeriesMatrix:
 def _resolve_data(cfg: PipelineConfig):
     with _stage("config"):
         if cfg.data is not None:
+            if cfg.train is not None or cfg.test is not None:
+                raise ValueError(
+                    "give either data with train_end or train and test "
+                    "sources, not both"
+                )
             if cfg.train_end is None:
                 raise ValueError("data source requires train_end")
             data = load_matrix(cfg.data, cfg.label_column)
@@ -178,6 +183,11 @@ def _resolve_data(cfg: PipelineConfig):
         if cfg.train is None or cfg.test is None:
             raise ValueError(
                 "provide train and test sources, or data with train_end"
+            )
+        if cfg.train_end is not None:
+            raise ValueError(
+                "train_end splits a data source; it does not apply to "
+                "train and test sources"
             )
         train = load_matrix(cfg.train, cfg.label_column)
         return train, load_matrix(cfg.test, cfg.label_column)
@@ -369,13 +379,14 @@ def _config_block(cfg: PipelineConfig) -> dict:
 
 def _intervals(flags: np.ndarray, offset: int) -> list[dict]:
     clusters = extract_clusters(flags)
+    columns = (
+        (clusters.starts + offset).tolist(),
+        (clusters.ends + offset).tolist(),
+        clusters.lengths.tolist(),
+    )
     return [
-        {
-            "start": int(c.start + offset),
-            "end": int(c.end + offset),
-            "length": int(c.length),
-        }
-        for c in clusters
+        {"start": start, "end": end, "length": length}
+        for start, end, length in zip(*columns)
     ]
 
 
@@ -435,7 +446,12 @@ def load_evaluation_labels(pred, pred_column, truth, truth_column, h: int):
 
 
 def run_evaluate(pred, truth, min_cluster_len: int = 1) -> dict:
-    """Pointwise and cluster metrics for aligned prediction/truth vectors."""
+    """Pointwise and cluster metrics for aligned prediction/truth vectors.
+
+    The block's ``clusters`` member is :func:`extract_clusters`'s
+    ``ClusterColumns``; ``cli._emit`` writes it as a list of
+    ``{"start", "end", "length"}`` records.
+    """
     with _stage("evaluate"):
         if len(pred) != len(truth):
             raise ValueError(
@@ -450,10 +466,7 @@ def run_evaluate(pred, truth, min_cluster_len: int = 1) -> dict:
             "recall": recall(counts),
             "f1": f1(counts),
             "mcc": mcc(counts),
-            "clusters": [
-                {"start": c.start, "end": c.end, "length": c.length}
-                for c in clusters
-            ],
+            "clusters": clusters,
         }
         block["ric"] = ric(pred, clusters) if clusters else None
     return block

@@ -1,5 +1,7 @@
 """Container validation and file round trips."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from madkit.data import (
     ModelFormatError,
     SeriesMatrix,
     SplitSpec,
+    _read_labels_bulk,
+    _read_labels_rows,
     load_csv,
     load_headerless,
     load_labels,
@@ -354,6 +358,120 @@ def test_load_labels_reads_one_column(tmp_path):
     labels = load_labels(path, "flag")
     assert labels.dtype == np.int8
     assert labels.tolist() == [1, 0, 1]
+
+
+_FIELD_LIMIT = csv.field_size_limit()
+
+# file bytes -> whether the bulk reader takes the file; load_labels(path,
+# "flag") must give the row reader's labels or its error either way
+LABEL_EDGE_FILES = {
+    "label_first": (b"flag,a,b\n1,x,y\n0,2,3\n", True),
+    "label_middle": (b"a,flag,b\n1,1,y\n2,0,3\n3,1,\n", True),
+    "label_last": (b"a,b,flag\n1,x,0\n,,1\n", True),
+    "label_only": (b"flag\n0\n1\n1\n", True),
+    "blank_lines": (b"a,flag\n\n1,1\n\n\n2,0\n", True),
+    "blank_lines_at_end": (b"a,flag\n1,1\n2,0\n\n\n", True),
+    "no_final_newline": (b"a,flag\n1,0\n2,1", True),
+    "utf8_cells": ("a,flag\n\u00e9\u20ac,1\n".encode("utf-8"), True),
+    "utf8_bom": (b"\xef\xbb\xbfa,flag\n1,1\n", True),
+    "utf8_bom_on_label": (b"\xef\xbb\xbfflag,a\n1,1\n", False),
+    "empty": (b"", False),
+    "blank_header": (b"\n1\n", False),
+    "duplicate_header": (b"flag,a,flag\n1,2,3\n", False),
+    "no_column": (b"a,b\n1,2\n", False),
+    "header_only": (b"a,flag\n", False),
+    "header_and_blank_lines": (b"a,flag\n\n\n", False),
+    "ragged_short": (b"a,flag\n1,0\n1\n", False),
+    "ragged_long": (b"a,flag\n1,0\n1,0,2\n", False),
+    "ragged_rows_balance": (b"a,flag\n1,0,\n1\n", False),
+    "commas_of_a_later_row": (b"a,flag,b\n1,0,2,1,3\nz\n", False),
+    "commas_of_an_earlier_row": (b"a,flag,b\nz\n1,0,2,1,3\n", False),
+    "space_in_cell": (b"a,flag\n1, 0\n", False),
+    "double_zero": (b"a,flag\n1,00\n", False),
+    "two": (b"a,flag\n1,2\n", False),
+    "empty_cell": (b"a,flag\n1,\n", False),
+    "space_line": (b"flag\n1\n \n0\n", False),
+    "crlf": (b"a,flag\r\n1,1\r\n\r\n2,0\r\n", False),
+    "bare_cr": (b"a,flag\r1,1\r2,0\r", False),
+    "quoted_comma": (b'a,flag\n"1,5",1\n2,0\n', False),
+    "quoted_label": (b'a,flag\n1,"1"\n', False),
+    "nul_byte": (b"a,flag\n1\x00,0\n", False),
+    "invalid_utf8": (b"a,flag\n\xff,1\n", False),
+    "field_over_limit": (
+        b"a,flag\n" + b"x" * (_FIELD_LIMIT + 1) + b",1\n", False
+    ),
+    "line_at_limit": (
+        b"a,flag\n" + b"x" * (_FIELD_LIMIT - 2) + b",1\n", True
+    ),
+}
+
+
+def _read_outcome(read, path):
+    """``read(path, "flag")`` as labels, or as the error it raised."""
+    try:
+        return read(path, "flag").tolist()
+    except Exception as exc:  # the row reader's own errors, whatever type
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(LABEL_EDGE_FILES))
+def test_load_labels_bulk_matches_row_reader(tmp_path, case):
+    data, bulk = LABEL_EDGE_FILES[case]
+    path = tmp_path / "labels.csv"
+    path.write_bytes(data)
+    want = _read_outcome(_read_labels_rows, path)
+    assert _read_outcome(load_labels, path) == want
+    try:
+        taken = _read_labels_bulk(data, "flag", path) is not None
+    except CsvFormatError:
+        taken = False  # a bad header, raised with the row reader's message
+    assert taken == bulk
+    if bulk:
+        assert load_labels(path, "flag").dtype == np.int8
+
+
+def test_load_labels_bulk_matches_row_reader_on_random_files(tmp_path):
+    rng = np.random.default_rng(20)
+    quirks = [b"", b" 0", b"00", b"2", b'"1"', b"1\x00", b"\xff"]
+    taken = declined = 0
+    for i in range(300):
+        width = int(rng.integers(1, 5))
+        label = int(rng.integers(0, width))
+        names = [b"c%d" % c for c in range(width)]
+        names[label] = b"flag"
+        lines = [b",".join(names)]
+        for _ in range(int(rng.integers(0, 12))):
+            kind = rng.random()
+            if kind < 0.1:
+                lines.append(b"")
+                continue
+            cells = [b"%d" % rng.integers(0, 100) for _ in range(width)]
+            cells[label] = b"%d" % rng.integers(0, 2)
+            if kind < 0.12:
+                cells[label] = quirks[rng.integers(0, len(quirks))]
+            elif kind < 0.13:
+                cells.append(b"9")
+            elif kind < 0.14 and width > 1:
+                cells.pop()
+            elif kind < 0.2:
+                cells[(label + 1) % width] += "\u00e9".encode("utf-8")
+            lines.append(b",".join(cells))
+        end = [b"\n", b"\r\n"][int(rng.random() < 0.05)]
+        data = end.join(lines) + (end if rng.random() < 0.8 else b"")
+        if rng.random() < 0.05:
+            data = b"\xef\xbb\xbf" + data
+        path = tmp_path / f"labels{i}.csv"
+        path.write_bytes(data)
+        want = _read_outcome(_read_labels_rows, path)
+        assert _read_outcome(load_labels, path) == want, data
+        try:
+            accepted = _read_labels_bulk(data, "flag", path) is not None
+        except CsvFormatError:
+            accepted = False
+        taken += accepted
+        declined += not accepted
+    # both paths ran on a good share of the files
+    assert taken > 100 and declined > 50, (taken, declined)
 
 
 def test_csv_reals_keep_every_bit(tmp_path):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from madkit.cli import _build_parser, _merge_config, _pipeline_config, main
-from madkit.data import LabelVector, load_csv, load_model, save_csv
+from madkit.data import (
+    LabelVector,
+    _read_labels_rows,
+    load_csv,
+    load_model,
+    save_csv,
+)
 from madkit.pipeline import (
     EXIT_CODES,
     STEP_ORDER,
@@ -19,7 +25,7 @@ from madkit.pipeline import (
     run_evaluate,
     run_explain,
 )
-from madkit.smoothing import SmoothConfig
+from madkit.smoothing import SmoothConfig, align_labels
 from madkit.synthetic import AnomalySpec, CollinearGroup, SynthConfig, generate
 from madkit.thresholds import ThresholdSpec
 
@@ -230,7 +236,7 @@ def test_run_evaluate_blocks():
     assert block["precision"] == 0.5
     assert block["recall"] == 0.25
     assert abs(block["f1"] - 1.0 / 3.0) < 1e-12
-    assert block["clusters"] == [
+    assert [c._asdict() for c in block["clusters"]] == [
         {"start": 0, "end": 0, "length": 1},
         {"start": 2, "end": 4, "length": 3},
     ]
@@ -286,8 +292,22 @@ def test_pipeline_config_validation(tmp_path):
         run_detect(PipelineConfig(data=matrix))  # train_end missing
     assert err.value.stage == "config"
 
-    # an unreadable file inside the config stage stays an ingest error
+    # conflicting sources fail before any of them is read
     missing = tmp_path / "missing.csv"
+    conflicts = {
+        "not both": PipelineConfig(
+            data=matrix, train_end=500, train=missing, test=missing
+        ),
+        "does not apply": PipelineConfig(train=train, test=test, train_end=100),
+    }
+    for message, cfg in conflicts.items():
+        with pytest.raises(PipelineError) as err:
+            run_detect(cfg)
+        assert err.value.stage == "config"
+        assert err.value.exit_code == EXIT_CODES["config"]
+        assert message in str(err.value.cause)
+
+    # an unreadable file inside the config stage stays an ingest error
     for cfg in (
         PipelineConfig(data=missing, train_end=10),
         PipelineConfig(train=missing, test=missing),
@@ -400,6 +420,80 @@ def test_cli_evaluate(tmp_path):
     block = json.loads(eval_path.read_text(encoding="utf-8"))
     assert block["recall"] > 0.5
     assert block["ric"] == 1.0
+
+
+def fragmented_labels(n, seed):
+    """Truth of short runs (gaps of mean 3, runs of mean 2) and a prediction
+    that flips 15% of it, as in the evaluate benchmark's inputs."""
+    rng = np.random.default_rng(seed)
+    pairs = n // 4
+    segments = np.empty(2 * pairs, dtype=np.int64)
+    segments[0::2] = rng.geometric(1 / 3, pairs)
+    segments[1::2] = rng.geometric(1 / 2, pairs)
+    runs = np.tile(np.array([0, 1], dtype=np.int8), pairs)
+    truth = np.repeat(runs, segments)[:n]
+    return truth ^ (rng.random(n) < 0.15).astype(np.int8), truth
+
+
+EVALUATE_JSON_CASES = {
+    "fragmented": (*fragmented_labels(20000, 1), []),
+    "fragmented_min_len_3": (
+        *fragmented_labels(20000, 2), ["--min-cluster-len", "3"]
+    ),
+    "fragmented_smooth_window_5": (
+        *fragmented_labels(20000, 3), ["--smooth-window", "5"]
+    ),
+    "no_clusters": (np.array([0, 1, 1, 0]), np.zeros(4, dtype=int), []),
+    "runs_at_both_ends": (
+        np.array([0, 1, 0, 0, 0, 0, 1]), np.array([1, 1, 0, 1, 0, 0, 1]), []
+    ),
+    "one_point_runs_at_both_ends": (
+        np.array([1, 0, 0]), np.array([1, 0, 1]), ["--min-cluster-len", "1"]
+    ),
+    "min_len_3_keeps_inner_run": (
+        np.array([1, 0, 1, 0, 0, 0, 1]), np.array([1, 0, 1, 1, 1, 0, 1]),
+        ["--min-cluster-len", "3"],
+    ),
+    "min_len_3_keeps_none": (
+        np.array([1, 1, 0, 1]), np.array([1, 1, 0, 1]),
+        ["--min-cluster-len", "3"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATE_JSON_CASES))
+def test_cli_evaluate_json_matches_json_dumps(tmp_path, case):
+    pred, truth, argv = EVALUATE_JSON_CASES[case]
+    h = int(argv[1]) if argv[:1] == ["--smooth-window"] else 1
+    min_len = int(argv[1]) if argv[:1] == ["--min-cluster-len"] else 1
+    pred = pred[h - 1 :]  # predictions cover the smoothed timeline
+    pred_csv, truth_csv = tmp_path / "pred.csv", tmp_path / "truth.csv"
+    pred_csv.write_text(
+        "timestamp,score,flag\n"
+        + "".join(f"{i},0.5,{v}\n" for i, v in enumerate(pred)),
+        encoding="utf-8",
+    )
+    truth_csv.write_text(
+        "label\n" + "".join(f"{v}\n" for v in truth), encoding="utf-8"
+    )
+    out = tmp_path / "eval.json"
+    assert main([
+        "evaluate", "--pred", str(pred_csv), "--truth", str(truth_csv),
+        "--out", str(out), *argv,
+    ]) == 0
+
+    # oracle: the row reader, and json.dumps of the cluster records
+    block = run_evaluate(
+        _read_labels_rows(pred_csv, "flag"),
+        align_labels(_read_labels_rows(truth_csv, "label"), h),
+        min_len,
+    )
+    block["clusters"] = [
+        {"start": c.start, "end": c.end, "length": c.length}
+        for c in block["clusters"]
+    ]
+    assert out.read_bytes() == (json.dumps(block, indent=2) + "\n").encode()
+    assert (block["ric"] is None) == (block["clusters"] == [])
 
 
 def test_cli_score_rejects_reordered_columns(tmp_path, capsys):
@@ -608,6 +702,51 @@ def test_cli_explicit_zero_beats_config_file(tmp_path):
     cfg_path.write_text('{"summary": true}', encoding="utf-8")
     args = _build_parser().parse_args(["detect", "--config", str(cfg_path)])
     assert _merge_config(args)["summary"] is True
+
+
+def test_cli_required_options_from_config_file(tmp_path, capsys):
+    prefix, model = tmp_path / "c", tmp_path / "m.txt"
+    scores, report = tmp_path / "s.csv", tmp_path / "e.json"
+    # each command reads what the one before it wrote
+    entries = {
+        "synth": {"n": 3, "t_train": 400, "t_test": 100, "out": str(prefix)},
+        "fit": {"train": f"{prefix}_train.csv", "out": str(model)},
+        "score": {
+            "model": str(model), "data": f"{prefix}_test.csv", "out": str(scores)
+        },
+        "evaluate": {
+            "pred": str(scores), "truth": f"{prefix}_truth.csv", "out": str(report)
+        },
+    }
+    cfg_path = tmp_path / "c.json"
+    for command, entry in entries.items():
+        cfg_path.write_text(json.dumps(entry), encoding="utf-8")
+        assert main([command, "--config", str(cfg_path)]) == 0, command
+    assert capsys.readouterr().err == ""
+    assert json.loads(report.read_text(encoding="utf-8"))["counts"]
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["evaluate"], "--pred, --truth"),
+        (["evaluate", "--pred", "p.csv"], "--truth"),
+        (["synth", "--n", "3"], "--t-train, --t-test"),
+        (["fit", "--out", "m.txt"], "--train"),
+        (["score", "--data", "d.csv"], "--model"),
+    ],
+    ids=["evaluate", "evaluate_truth", "synth", "fit", "score"],
+)
+def test_cli_required_options_missing_from_flags_and_config(
+    tmp_path, capsys, argv, missing
+):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text('{"out": null}', encoding="utf-8")
+    for config in ([], ["--config", str(cfg_path)]):
+        assert main([*argv, *config]) == EXIT_CODES["config"]
+        assert capsys.readouterr().err == (
+            f"error [config]: the following arguments are required: {missing}\n"
+        )
 
 
 def test_cli_exit_codes(tmp_path, capsys):
