@@ -234,6 +234,12 @@ def _read_header(reader, path) -> list[str]:
     return header
 
 
+def _csv_format_error(exc: csv.Error, reader, path) -> CsvFormatError:
+    """The csv module's own error (a field over ``csv.field_size_limit()``,
+    say) as a :class:`CsvFormatError` at the line ``reader`` stopped on."""
+    return CsvFormatError(f"{path}: line {reader.line_num}: {exc}")
+
+
 def _column_index(header, column, path) -> int:
     if column not in header:
         raise CsvFormatError(f"{path}: no column named {column!r}")
@@ -337,19 +343,22 @@ def load_csv(
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = _read_header(reader, path)
-        if label_column is None:
-            values = _read_body_fast(fh, len(header))
-            if values is not None:
-                return SeriesMatrix(names=header, values=values.T), None
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-        rows, lines = [], []
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
+        try:
+            header = _read_header(reader, path)
+            if label_column is None:
+                values = _read_body_fast(fh, len(header))
+                if values is not None:
+                    return SeriesMatrix(names=header, values=values.T), None
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+            rows, lines = [], []
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+        except csv.Error as exc:
+            raise _csv_format_error(exc, reader, path) from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     if label_column is not None:
@@ -441,18 +450,21 @@ def _read_labels_rows(path, column: str) -> np.ndarray:
     for every file the bulk reader declines, and its test oracle."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = _read_header(reader, path)
-        ci = _column_index(header, column, path)
-        width = len(header)
-        labels = bytearray()
-        # one test per good row; the shared checks run only on a bad one
-        for row in reader:
-            if len(row) != width or row[ci] not in ("0", "1"):
-                if not row:
-                    continue
-                _check_widths([row], [reader.line_num], width, path)
-                _check_labels([row[ci]], [reader.line_num], column, path)
-            labels.append(row[ci] == "1")
+        try:
+            header = _read_header(reader, path)
+            ci = _column_index(header, column, path)
+            width = len(header)
+            labels = bytearray()
+            # one test per good row; the shared checks run only on a bad one
+            for row in reader:
+                if len(row) != width or row[ci] not in ("0", "1"):
+                    if not row:
+                        continue
+                    _check_widths([row], [reader.line_num], width, path)
+                    _check_labels([row[ci]], [reader.line_num], column, path)
+                labels.append(row[ci] == "1")
+        except csv.Error as exc:
+            raise _csv_format_error(exc, reader, path) from None
     if not labels:
         raise CsvFormatError(f"{path}: no data rows")
     return np.frombuffer(labels, dtype=np.int8)

@@ -40,8 +40,8 @@ _REMEDY = "try --importance rf, or a different --step5-window or --step5-extra"
 class ExplainDataset:
     """Rows to classify: flagged-window observations plus normal tail rows.
 
-    ``features`` is (N, p) in original variable order, ``targets`` the 0/1
-    class per row.
+    ``features`` is (N, p) finite values in original variable order,
+    ``targets`` the 0/1 class per row.
     """
 
     features: np.ndarray
@@ -58,6 +58,12 @@ class ExplainDataset:
             raise ValueError("targets must have one entry per row")
         if len(self.feature_names) != p:
             raise ValueError("one name per feature column")
+        if not np.isfinite(self.features).all():
+            row, col = np.argwhere(~np.isfinite(self.features))[0]
+            raise ValueError(
+                f"non-finite value for feature {self.feature_names[col]!r} "
+                f"in row {row}"
+            )
         classes = np.unique(self.targets)
         if classes.size < 2:
             raise SingleClassError(
@@ -226,16 +232,24 @@ def _gini(ones: float, total: float) -> float:
     return 1.0 - p1 * p1 - p0 * p0
 
 
-def _best_split(sub: np.ndarray, y: np.ndarray, parent_gini: float):
-    """Best Gini split over the columns of ``sub``.
+def _best_split(
+    ranks: np.ndarray, values: np.ndarray, y: np.ndarray, parent_gini: float
+):
+    """Best Gini split over the columns of a node's ``(s, q)`` blocks.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values.  Returns ``(gain, column, threshold)`` or ``None`` when no
-    column admits a split with positive impurity decrease.
+    ``ranks`` holds the dense ranks (see :func:`_dense_ranks`) of the
+    float ``values`` block beside it.  Rows are ordered by a stable
+    argsort of the ranks, which numpy runs as a radix sort when they are
+    ``uint16``; a stable sort on dense ranks gives the same permutation as
+    one on the finite values, so the class counts, Gini sums and the
+    chosen boundary are the bits a float sort would give.  Candidate
+    thresholds are midpoints between consecutive distinct values.  Returns
+    ``(gain, column, threshold)`` or ``None`` when no column admits a
+    split with positive impurity decrease.
     """
-    s = sub.shape[0]
-    order = np.argsort(sub, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(sub, order, axis=0)
+    s = ranks.shape[0]
+    order = np.argsort(ranks, axis=0, kind="stable")
+    sorted_ranks = np.sort(ranks, axis=0)  # cheaper than gathering by order
     ones = np.cumsum(y[order], axis=0, dtype=np.float64)
     n_left = np.arange(1, s, dtype=np.float64)[:, None]
     n_right = s - n_left
@@ -248,7 +262,7 @@ def _best_split(sub: np.ndarray, y: np.ndarray, parent_gini: float):
         ones_right**2 + (n_right - ones_right) ** 2
     ) / (n_right * n_right)
     weighted = (n_left * gini_left + n_right * gini_right) / s
-    weighted[sorted_vals[:-1] >= sorted_vals[1:]] = np.inf  # duplicate values
+    weighted[sorted_ranks[:-1] >= sorted_ranks[1:]] = np.inf  # duplicate values
     flat = int(np.argmin(weighted))
     pos, col = divmod(flat, weighted.shape[1])
     best = weighted[pos, col]
@@ -257,26 +271,43 @@ def _best_split(sub: np.ndarray, y: np.ndarray, parent_gini: float):
     gain = parent_gini - float(best)
     if gain <= 0.0:
         return None
-    lo = sorted_vals[pos, col]
-    hi = sorted_vals[pos + 1, col]
+    lo = values[order[pos, col], col]
+    hi = values[order[pos + 1, col], col]
     thr = (lo + hi) / 2.0
     if thr >= hi:  # midpoint rounded up to the right value
         thr = lo
     return gain, int(col), float(thr)
 
 
+def _dense_ranks(features: np.ndarray) -> np.ndarray:
+    """The ``(p, n)`` dense ranks of an ``(n, p)`` block: row j gives each
+    value's index among column j's sorted distinct values, so tied values
+    share a rank.  ``uint16`` up to 65,536 rows, a width numpy's stable
+    argsort radix-sorts."""
+    n, p = features.shape
+    ranks = np.empty((p, n), dtype=np.uint16 if n <= 1 << 16 else np.intp)
+    for j in range(p):
+        ranks[j] = np.unique(features[:, j], return_inverse=True)[1]
+    return ranks
+
+
 def _grow_tree(
-    features: np.ndarray,
+    features_t: np.ndarray,
+    ranks_t: np.ndarray,
     targets: np.ndarray,
     t_min: int,
     q: int,
     seed: int,
 ) -> DecisionTree:
+    """One tree, grown depth first.  ``features_t`` and ``ranks_t`` are
+    the ``(p, n)`` values and their dense ranks, one row per variable, so
+    a node gathers each drawn variable's rows from one contiguous row."""
     rng = np.random.default_rng(seed)
-    n, p = features.shape
+    p, n = features_t.shape
     boot = rng.integers(0, n, size=n)
-    oob = np.setdiff1d(np.arange(n), boot)
-    x = features[boot]
+    oob = np.flatnonzero(np.bincount(boot, minlength=n) == 0)
+    x = features_t[:, boot]
+    xr = ranks_t[:, boot]
     y = targets[boot].astype(np.float64)
 
     feat_l, thr_l, left_l, right_l = [], [], [], []
@@ -305,11 +336,12 @@ def _grow_tree(
         if s <= t_min or ones == 0 or ones == s:
             continue
         cols = rng.choice(p, size=q, replace=False)
-        split = _best_split(x[idx[:, None], cols[None, :]], y[idx], gini)
+        values = x[cols].take(idx, axis=1).T
+        split = _best_split(xr[cols].take(idx, axis=1).T, values, y[idx], gini)
         if split is None:
             continue
         gain, col, thr = split
-        go_left = x[idx, cols[col]] <= thr
+        go_left = values[:, col] <= thr
         feat_l[node_id] = int(cols[col])
         thr_l[node_id] = thr
         dec_l[node_id] = gain
@@ -349,6 +381,11 @@ def train_forest(
     square root of the variable count) and takes the best Gini split.
     Per-tree seeds are derived deterministically from ``seed``, so the
     same call rebuilds bit-identical trees regardless of growth order.
+
+    Each variable's dense ranks are computed once per forest, and nodes
+    sort those integers instead of the floats (see :func:`_best_split`):
+    ``uint16`` ranks up to 65,536 rows, which numpy radix-sorts.  The
+    nodes, draws and tree arrays are the ones a float sort grows.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")
@@ -359,8 +396,10 @@ def train_forest(
         q_features = max(1, int(math.isqrt(p)))
     if not 1 <= q_features <= p:
         raise ValueError(f"q_features must lie in 1 .. {p}")
+    features_t = np.ascontiguousarray(data.features.T)
+    ranks_t = _dense_ranks(data.features)
     trees = [
-        _grow_tree(data.features, data.targets, t_min, q_features, int(s))
+        _grow_tree(features_t, ranks_t, data.targets, t_min, q_features, int(s))
         for s in np.random.SeedSequence(seed).generate_state(n_trees)
     ]
     return Forest(

@@ -406,6 +406,33 @@ LABEL_EDGE_FILES = {
 }
 
 
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"a,flag\n1,0\n" + b"1" * (_FIELD_LIMIT + 1) + b",1\n", 3),
+        (b"a," + b"f" * (_FIELD_LIMIT + 1) + b"\n1,0\n", 1),
+    ],
+    ids=["body", "header"],
+)
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda path: load_csv(path),
+        lambda path: load_csv(path, label_column="flag"),
+        lambda path: load_labels(path, "flag"),
+    ],
+    ids=["load_csv", "load_csv_labels", "load_labels"],
+)
+def test_field_over_limit_is_a_format_error(tmp_path, data, line, read):
+    # the csv module's own error, not a traceback of another type
+    path = tmp_path / "big.csv"
+    path.write_bytes(data)
+    with pytest.raises(
+        CsvFormatError, match=f"line {line}: field larger than field limit"
+    ):
+        read(path)
+
+
 def _read_outcome(read, path):
     """``read(path, "flag")`` as labels, or as the error it raised."""
     try:

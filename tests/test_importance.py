@@ -9,8 +9,11 @@ from scipy import stats
 from madkit.data import LabelVector, SeriesMatrix
 from madkit.importance import (
     ConvergenceError,
+    DecisionTree,
     ExplainDataset,
     SingleClassError,
+    _dense_ranks,
+    _gini,
     assemble_explain_dataset,
     fit_logistic,
     gini_importance,
@@ -119,6 +122,15 @@ def test_dataset_single_class_error():
         make_dataset(np.zeros((4, 2)), [0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(bad):
+    x = np.arange(12, dtype=np.float64).reshape(6, 2)
+    x[3, 1] = bad
+    x[5, 0] = bad  # a later row; the first bad cell is named
+    with pytest.raises(ValueError, match="feature 'f1' in row 3"):
+        make_dataset(x, [0, 1, 0, 1, 0, 1])
+
+
 # ---------------------------------------------------------------------------
 # random forest
 
@@ -209,6 +221,206 @@ def test_forest_noise_importance_is_flat():
         maxima.append(scores.max())
         medians.append(np.median(scores))
     assert max(m / md for m, md in zip(maxima, medians)) <= 3.0
+
+
+# ---------------------------------------------------------------------------
+# the float-sorting grower: the oracle for the rank-sorting one
+
+
+def _reference_best_split(sub, y, parent_gini):
+    """Best Gini split of an (s, q) float block by sorting its values."""
+    s = sub.shape[0]
+    order = np.argsort(sub, axis=0, kind="stable")
+    sorted_vals = np.take_along_axis(sub, order, axis=0)
+    ones = np.cumsum(y[order], axis=0, dtype=np.float64)
+    n_left = np.arange(1, s, dtype=np.float64)[:, None]
+    n_right = s - n_left
+    ones_left = ones[:-1]
+    ones_right = ones[-1] - ones_left
+    gini_left = 1.0 - (
+        ones_left**2 + (n_left - ones_left) ** 2
+    ) / (n_left * n_left)
+    gini_right = 1.0 - (
+        ones_right**2 + (n_right - ones_right) ** 2
+    ) / (n_right * n_right)
+    weighted = (n_left * gini_left + n_right * gini_right) / s
+    weighted[sorted_vals[:-1] >= sorted_vals[1:]] = np.inf  # duplicate values
+    flat = int(np.argmin(weighted))
+    pos, col = divmod(flat, weighted.shape[1])
+    best = weighted[pos, col]
+    if not np.isfinite(best):
+        return None
+    gain = parent_gini - float(best)
+    if gain <= 0.0:
+        return None
+    lo = sorted_vals[pos, col]
+    hi = sorted_vals[pos + 1, col]
+    thr = (lo + hi) / 2.0
+    if thr >= hi:  # midpoint rounded up to the right value
+        thr = lo
+    return gain, int(col), float(thr)
+
+
+def _reference_grow_tree(features, targets, t_min, q, seed):
+    rng = np.random.default_rng(seed)
+    n, p = features.shape
+    boot = rng.integers(0, n, size=n)
+    oob = np.setdiff1d(np.arange(n), boot)
+    x = features[boot]
+    y = targets[boot].astype(np.float64)
+
+    feat_l, thr_l, left_l, right_l = [], [], [], []
+    n_l, c1_l, dec_l = [], [], []
+
+    def new_node():
+        feat_l.append(-1)
+        thr_l.append(0.0)
+        left_l.append(-1)
+        right_l.append(-1)
+        n_l.append(0)
+        c1_l.append(0)
+        dec_l.append(0.0)
+        return len(feat_l) - 1
+
+    max_depth = 0
+    stack = [(new_node(), np.arange(n), 0)]
+    while stack:
+        node_id, idx, depth = stack.pop()
+        max_depth = max(max_depth, depth)
+        s = idx.size
+        ones = int(y[idx].sum())
+        gini = _gini(ones, s)
+        n_l[node_id] = s
+        c1_l[node_id] = ones
+        if s <= t_min or ones == 0 or ones == s:
+            continue
+        cols = rng.choice(p, size=q, replace=False)
+        split = _reference_best_split(x[idx[:, None], cols[None, :]], y[idx], gini)
+        if split is None:
+            continue
+        gain, col, thr = split
+        go_left = x[idx, cols[col]] <= thr
+        feat_l[node_id] = int(cols[col])
+        thr_l[node_id] = thr
+        dec_l[node_id] = gain
+        left_id = new_node()
+        right_id = new_node()
+        left_l[node_id] = left_id
+        right_l[node_id] = right_id
+        stack.append((left_id, idx[go_left], depth + 1))
+        stack.append((right_id, idx[~go_left], depth + 1))
+
+    return DecisionTree(
+        feature=np.array(feat_l, dtype=np.int32),
+        threshold=np.array(thr_l),
+        left=np.array(left_l, dtype=np.int32),
+        right=np.array(right_l, dtype=np.int32),
+        n_node=np.array(n_l, dtype=np.int64),
+        count1=np.array(c1_l, dtype=np.int64),
+        decrease=np.array(dec_l),
+        seed=seed,
+        oob_indices=oob,
+        max_depth=max_depth,
+        n_train=n,
+    )
+
+
+TREE_ARRAYS = (
+    "feature", "threshold", "left", "right", "n_node", "count1", "decrease",
+    "oob_indices",
+)
+
+
+def assert_matches_reference(ds, n_trees=10, t_min=2, q_features=None, seed=0):
+    """train_forest grows the reference grower's trees, bit for bit."""
+    forest = train_forest(
+        ds, n_trees=n_trees, t_min=t_min, q_features=q_features, seed=seed
+    )
+    q = q_features or max(1, math.isqrt(ds.n_features))
+    seeds = np.random.SeedSequence(seed).generate_state(n_trees)
+    for tree, s in zip(forest.trees, seeds, strict=True):
+        ref = _reference_grow_tree(ds.features, ds.targets, t_min, q, int(s))
+        for name in TREE_ARRAYS:
+            got, want = getattr(tree, name), getattr(ref, name)
+            assert np.array_equal(got, want), name
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+        assert tree.max_depth == ref.max_depth
+        assert (tree.seed, tree.n_train) == (ref.seed, ref.n_train)
+    return forest
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forest_matches_float_sort_reference(seed):
+    assert_matches_reference(planted_dataset(seed=seed), seed=seed)
+
+
+def test_forest_matches_reference_on_heavy_ties():
+    ds = planted_dataset(seed=3, n=800, p=6, informative=(1, 4))
+    rounded = np.round(ds.features, 1)
+    # rounding makes signed zeros, which sort as equals: one rank
+    assert (np.signbit(rounded) & (rounded == 0)).any()
+    assert (~np.signbit(rounded) & (rounded == 0)).any()
+    assert_matches_reference(make_dataset(rounded, ds.targets), n_trees=20)
+
+
+def test_forest_matches_reference_on_adjacent_doubles():
+    # the midpoint of two adjacent doubles rounds onto one of them, so the
+    # threshold falls back to the lower value, which goes left
+    rng = np.random.default_rng(10)
+    y = rng.integers(0, 2, 400)
+    lo = np.array([1.0, 1e300, -3.5])
+    x = np.where(
+        (y[:, None] == 1) ^ (rng.random((400, 3)) < 0.1),
+        np.nextafter(lo, np.inf), lo,
+    )
+    forest = assert_matches_reference(make_dataset(x, y), q_features=3)
+    assert np.isin(forest.trees[0].threshold, lo).any()
+
+
+def test_forest_matches_reference_with_a_constant_column():
+    ds = planted_dataset(seed=4, n=600, p=5, informative=(1, 3))
+    x = ds.features.copy()
+    x[:, 2] = 0.25
+    assert_matches_reference(make_dataset(x, ds.targets), q_features=2)
+
+
+def test_forest_matches_reference_on_one_feature():
+    ds = planted_dataset(seed=5, n=600, p=1, informative=(0,))
+    forest = assert_matches_reference(ds)
+    assert forest.q_features == 1
+
+
+def test_forest_matches_reference_when_every_node_sees_every_feature():
+    ds = planted_dataset(seed=6, n=600, p=7, informative=(2, 5))
+    assert_matches_reference(ds, q_features=7)
+
+
+@pytest.mark.parametrize("t_min", [1, 2, 5])
+def test_forest_matches_reference_at_leaf_size(t_min):
+    ds = planted_dataset(seed=7, n=500, p=9, informative=(0, 4))
+    assert_matches_reference(ds, t_min=t_min)
+
+
+def test_forest_matches_reference_beyond_uint16_ranks():
+    # more rows than uint16 ranks can order, so the wide-rank path runs; a
+    # large t_min keeps the tree to a few nodes
+    ds = planted_dataset(seed=8, n=70_000, p=3, informative=(0, 1))
+    assert _dense_ranks(ds.features).dtype.itemsize > 2
+    forest = assert_matches_reference(ds, n_trees=1, t_min=5_000, q_features=2)
+    assert forest.trees[0].feature.size > 3
+
+
+def test_dense_ranks_share_ties_and_switch_width_past_65536_rows():
+    x = np.array([[0.5, -0.0], [-1.0, 0.0], [0.5, 2.0], [3.0, -0.0]])
+    ranks = _dense_ranks(x)
+    assert ranks.dtype == np.uint16
+    assert ranks.tolist() == [[1, 0, 1, 2], [0, 0, 1, 0]]
+    rng = np.random.default_rng(9)
+    for n in (1 << 16, (1 << 16) + 1):
+        col = rng.permutation(n).astype(np.float64)[:, None]
+        ranks = _dense_ranks(col)
+        assert (ranks.dtype == np.uint16) == (n <= 1 << 16)
+        assert np.array_equal(ranks[0], col[:, 0])  # distinct ints rank as themselves
 
 
 # ---------------------------------------------------------------------------

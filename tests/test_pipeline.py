@@ -749,6 +749,27 @@ def test_cli_required_options_missing_from_flags_and_config(
         )
 
 
+def test_cli_over_limit_field_is_an_ingest_error(tmp_path, capsys):
+    # a cell longer than csv.field_size_limit() fails in the csv module
+    labels = tmp_path / "labels.csv"
+    labels.write_text("a,flag\n" + "x" * 131_073 + ",1\n", encoding="utf-8")
+    assert main([
+        "evaluate", "--pred", str(labels), "--truth", str(labels),
+        "--pred-column", "flag", "--truth-column", "flag",
+    ]) == EXIT_CODES["ingest"]
+    err = capsys.readouterr().err
+    assert "error [ingest]: " in err
+    assert "line 2: field larger than field limit" in err
+    data = tmp_path / "data.csv"
+    data.write_text("a,b\n1.0,2.0\n" + "1" * 131_073 + ",3.0\n", encoding="utf-8")
+    good = tmp_path / "good.csv"
+    good.write_text("a,b\n1.0,2.0\n2.0,1.0\n3.0,4.0\n", encoding="utf-8")
+    assert main(
+        ["detect", "--train", str(data), "--test", str(good)]
+    ) == EXIT_CODES["ingest"]
+    assert "line 3: field larger than field limit" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # missing data sources
     assert main(["detect"]) == EXIT_CODES["config"]
