@@ -59,11 +59,11 @@ print(f"retained {len(model.retained)}, threshold k = {model.k:.3f}")
 # ---------------------------------------------------------------------------
 # Score the held-out half and compare flags against the planted truth.
 result, _ = apply_detector(model, test)
-flags = result.flags.labels
+flags = result.flags
 print(f"{flags.sum()} flagged points out of {flags.size}")
 
 # smoothing shortens the series; align the truth labels the same way
-aligned_truth = truth.labels[t_train:][model.h - 1:]
+aligned_truth = truth[t_train:][model.h - 1:]
 clusters = extract_clusters(aligned_truth, min_length=50)
 print(f"planted clusters (aligned): "
       f"{[(c.start, c.end) for c in clusters]}")

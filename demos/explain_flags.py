@@ -44,7 +44,7 @@ cfg = PipelineConfig(
     rf_seed=0,
 )
 model, result, report = run_detect(cfg)
-print(f"{result.flags.labels.sum()} flags in the test half")
+print(f"{result.flags.sum()} flags in the test half")
 
 reports = run_explain(cfg, model, result.flags, train=train, test=test)
 for imp in reports:

@@ -27,6 +27,8 @@ from .data import FILTER_KINDS, THRESHOLD_KINDS, save_csv, save_model, split
 from .metrics import ClusterColumns
 from .pipeline import (
     EXIT_CODES,
+    IMPORTANCE_KINDS,
+    STEP5_FEATURE_KINDS,
     PipelineConfig,
     PipelineError,
     _stage,
@@ -94,14 +96,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--train-end", type=int)
 
     def add_explain_flags(p):
-        p.add_argument("--importance", choices=("rf", "lr", "both"))
+        p.add_argument("--importance", choices=IMPORTANCE_KINDS)
         p.add_argument("--rf-trees", type=int, metavar="B")
         p.add_argument("--rf-seed", type=int)
         p.add_argument(
             "--step5-window", metavar="START:END", help="window to explain"
         )
         p.add_argument("--step5-extra", type=int, metavar="COUNT")
-        p.add_argument("--step5-features", choices=("smoothed", "raw"))
+        p.add_argument("--step5-features", choices=STEP5_FEATURE_KINDS)
         p.add_argument("--top", type=int, metavar="V")
 
     p = sub.add_parser("detect", help="fit on train data and flag test data")
@@ -324,7 +326,7 @@ def _write_scores_csv(fh, result) -> None:
     """Write ``timestamp,score,flag`` rows to an open text file."""
     writer = csv.writer(fh)
     writer.writerow(["timestamp", "score", "flag"])
-    flags = result.flags.labels
+    flags = result.flags
     for i, s in enumerate(result.scores):
         writer.writerow([i + result.time_offset, repr(float(s)), int(flags[i])])
 
@@ -423,7 +425,7 @@ def _cmd_synth(cfg: PipelineConfig, options: dict) -> None:
     train_m, test_m = split(matrix, spec)
     save_csv(train_m, f"{prefix}_train.csv")
     save_csv(test_m, f"{prefix}_test.csv")
-    labels = truth.labels[spec.train_end :]
+    labels = truth[spec.train_end :]
     _write_rows(f"{prefix}_truth.csv", ["label"], ([int(v)] for v in labels))
     print(
         f"wrote {prefix}_train.csv ({train_m.n_times} rows), "

@@ -2,9 +2,10 @@
 
 The central container is :class:`SeriesMatrix`, an ``n x T`` matrix of real
 observations (one row per variable, one column per timestamp).  Ground-truth
-and predicted anomaly labels travel in :class:`LabelVector`.  A fitted
-detector is a :class:`DetectorModel`, which can be serialized to a versioned
-text file and reloaded without losing precision.
+and predicted anomaly labels are 1-D ``int8`` arrays of 0s and 1s, checked
+by :func:`as_labels`.  A fitted detector is a :class:`DetectorModel`, which
+can be serialized to a versioned text file and reloaded without losing
+precision.
 """
 
 from __future__ import annotations
@@ -44,14 +45,10 @@ class SeriesMatrix:
         Unique variable names, one per row.
     values : ndarray, shape (n, T)
         Finite float64 observations. Treated as immutable after construction.
-    time_offset : int
-        Index in the original timeline that column 0 corresponds to.  Raw
-        ingested data has offset 0; smoothing advances it by ``h - 1``.
     """
 
     names: list[str]
     values: np.ndarray
-    time_offset: int = 0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -72,8 +69,6 @@ class SeriesMatrix:
                 f"non-finite value for variable {self.names[bad[0]]!r} "
                 f"at position {bad[1]}"
             )
-        if self.time_offset < 0:
-            raise ValueError("time_offset must be non-negative")
 
     @property
     def n_vars(self) -> int:
@@ -87,39 +82,28 @@ class SeriesMatrix:
         """Return a new matrix containing only the given variable rows."""
         indices = list(indices)
         return SeriesMatrix(
-            names=[self.names[i] for i in indices],
-            values=self.values[indices],
-            time_offset=self.time_offset,
+            names=[self.names[i] for i in indices], values=self.values[indices]
         )
 
     def slice_time(self, start: int, stop: int) -> "SeriesMatrix":
         """Return columns ``start:stop`` as a new matrix."""
         return SeriesMatrix(
-            names=list(self.names),
-            values=self.values[:, start:stop],
-            time_offset=self.time_offset + start,
+            names=list(self.names), values=self.values[:, start:stop]
         )
 
 
-@dataclass
-class LabelVector:
-    """A 0/1 integer label per timestamp of some :class:`SeriesMatrix`."""
+def as_labels(vec, what: str = "labels") -> np.ndarray:
+    """``vec`` as a 1-D ``int8`` array of 0/1 labels.
 
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels)
-        if self.labels.ndim != 1:
-            raise ValueError("labels must be 1-D")
-        if self.labels.size == 0:
-            raise ValueError("labels must be non-empty")
-        vals = np.unique(self.labels)
-        if not np.isin(vals, (0, 1)).all():
-            raise ValueError("labels must contain only 0 and 1")
-        self.labels = self.labels.astype(np.int8)
-
-    def __len__(self) -> int:
-        return self.labels.size
+    Raises ``ValueError`` unless ``vec`` is 1-D and every entry is exactly
+    0 or 1; ``0.5`` or ``2`` is an error, never truncated or wrapped.
+    """
+    arr = np.asarray(vec)
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be 1-D")
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ValueError(f"{what} must contain only 0 and 1")
+    return arr.astype(np.int8, copy=False)
 
 
 @dataclass(frozen=True)
@@ -188,8 +172,12 @@ class DetectorModel:
         m = len(self.retained)
         if m < 1:
             raise ValueError("model must retain at least one variable")
-        if sorted(set(self.retained)) != sorted(self.retained):
-            raise ValueError("retained indices must be distinct")
+        removed = [i for i, _ in self.vif_trace]
+        if sorted([*self.retained, *removed]) != list(range(self.n_original)):
+            raise ValueError(
+                "retained and removed variables must number 0 .. "
+                f"{self.n_original - 1} once each, with no gap or overlap"
+            )
         if self.h < 1:
             raise ValueError("h must be at least 1")
         if self.filter_kind not in FILTER_KINDS:
@@ -202,9 +190,6 @@ class DetectorModel:
             raise ValueError("threshold k must be positive")
         if self.threshold_kind == "pot" and self.gpd is None:
             raise ValueError("POT model requires gpd parameters")
-        removed = [i for i, _ in self.vif_trace]
-        if set(removed) & set(self.retained):
-            raise ValueError("removed and retained variables overlap")
         if self.names is not None and not (
             isinstance(self.names, list)
             and len(self.names) == self.n_original
@@ -316,7 +301,7 @@ def _read_body_fast(fh, width: int) -> np.ndarray | None:
 
 def load_csv(
     path, label_column: str | None = None
-) -> tuple[SeriesMatrix, LabelVector | None]:
+) -> tuple[SeriesMatrix, np.ndarray | None]:
     """Load a header-bearing CSV of real-valued columns.
 
     Parameters
@@ -330,7 +315,7 @@ def load_csv(
 
     Returns
     -------
-    (SeriesMatrix, LabelVector or None)
+    (SeriesMatrix, int8 ndarray or None)
 
     Notes
     -----
@@ -369,7 +354,7 @@ def load_csv(
     if label_column is not None:
         raw = [row[li] for row in rows]
         _check_labels(raw, lines, label_column, path)
-        labels = LabelVector(np.array(raw, dtype=np.int8))
+        labels = np.array(raw, dtype=np.int8)
         header = header[:li] + header[li + 1 :]
         rows = [row[:li] + row[li + 1 :] for row in rows]
 
@@ -498,7 +483,7 @@ def load_headerless(path, name_prefix: str = "v") -> SeriesMatrix:
 def save_csv(
     matrix: SeriesMatrix,
     path,
-    labels: LabelVector | None = None,
+    labels: np.ndarray | None = None,
     label_column: str = "label",
 ) -> None:
     """Write a matrix (optionally with a 0/1 label column) as CSV.
@@ -509,7 +494,8 @@ def save_csv(
     path = Path(path)
     header = list(matrix.names)
     if labels is not None:
-        if len(labels) != matrix.n_times:
+        labels = as_labels(labels)
+        if labels.size != matrix.n_times:
             raise ValueError("label length must match matrix T")
         header.append(label_column)
     cols = matrix.values.T
@@ -520,9 +506,8 @@ def save_csv(
             for row in cols:
                 writer.writerow([repr(float(v)) for v in row])
         else:
-            lab = labels.labels
             for t, row in enumerate(cols):
-                writer.writerow([repr(float(v)) for v in row] + [str(lab[t])])
+                writer.writerow([repr(float(v)) for v in row] + [str(labels[t])])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelVector, SeriesMatrix
+from .data import SeriesMatrix, as_labels
 
 
 class SingleClassError(ValueError):
@@ -93,7 +93,7 @@ def assemble_explain_dataset(
     test : SeriesMatrix
         The representation that produced the flags (smoothed when h > 1),
         columns aligned one-to-one with ``flags``.
-    flags : LabelVector or array
+    flags : array
         Per-column 0/1 predictions over ``test``.
     window : (start, stop)
         Half-open column range of ``test`` to explain.
@@ -103,7 +103,7 @@ def assemble_explain_dataset(
     n_extra : int
         How many tail columns to add; 0 disables the tail.
     """
-    f = flags.labels if isinstance(flags, LabelVector) else np.asarray(flags)
+    f = as_labels(flags, "flags")
     if f.shape != (test.n_times,):
         raise ValueError("flags must have one entry per test column")
     start, stop = window

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import LabelVector
+from .data import as_labels
 
 
 @dataclass(frozen=True)
@@ -79,21 +79,10 @@ class ClusterColumns(Sequence):
         return f"ClusterColumns({list(self)!r})"
 
 
-def _as_binary(vec, what: str) -> np.ndarray:
-    if isinstance(vec, LabelVector):
-        return vec.labels
-    arr = np.asarray(vec)
-    if arr.ndim != 1:
-        raise ValueError(f"{what} must be 1-D")
-    if arr.size and (arr.min() < 0 or arr.max() > 1):
-        raise ValueError(f"{what} must contain only 0 and 1")
-    return arr.astype(np.int8)
-
-
 def confusion(pred, truth) -> ConfusionCounts:
     """Count TP/FP/TN/FN between aligned binary vectors."""
-    p = _as_binary(pred, "pred")
-    t = _as_binary(truth, "truth")
+    p = as_labels(pred, "pred")
+    t = as_labels(truth, "truth")
     if p.shape != t.shape:
         raise ValueError(f"length mismatch: pred {p.size}, truth {t.size}")
     counts = np.bincount(2 * t.astype(np.int64) + p, minlength=4)
@@ -133,7 +122,7 @@ def extract_clusters(truth, min_length: int = 1) -> ClusterColumns:
     in order, as :class:`ClusterColumns`."""
     if min_length < 1:
         raise ValueError("min_length must be at least 1")
-    t = _as_binary(truth, "truth")
+    t = as_labels(truth, "truth")
     padded = np.concatenate(([0], t, [0]))
     edges = np.diff(padded)
     starts = np.flatnonzero(edges == 1)
@@ -150,7 +139,7 @@ def ric(pred, clusters: ClusterColumns) -> float:
     """
     if not clusters:
         raise ValueError("no clusters to identify")
-    p = _as_binary(pred, "pred")
+    p = as_labels(pred, "pred")
     starts, ends = clusters.starts, clusters.ends
     if ends.max() >= p.size:
         raise ValueError("prediction vector does not cover the clusters")

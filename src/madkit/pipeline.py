@@ -23,9 +23,9 @@ from . import __version__ as _version
 from .collinearity import vif_prune
 from .data import (
     DetectorModel,
-    LabelVector,
     SeriesMatrix,
     SplitSpec,
+    as_labels,
     load_csv,
     load_labels,
     load_model,
@@ -58,6 +58,10 @@ STEP_ORDER = (
     "threshold",
     "flag",
 )
+
+# step 5's rankings and the columns they are computed from
+IMPORTANCE_KINDS = ("rf", "lr", "both")
+STEP5_FEATURE_KINDS = ("smoothed", "raw")
 
 # distinct process exit code per failing pipeline stage
 EXIT_CODES = {
@@ -133,9 +137,9 @@ class PipelineConfig:
     min_cluster_len: int = 1
 
     def __post_init__(self):
-        if self.importance not in ("rf", "lr", "both"):
+        if self.importance not in IMPORTANCE_KINDS:
             raise ValueError("importance must be 'rf', 'lr', or 'both'")
-        if self.step5_features not in ("smoothed", "raw"):
+        if self.step5_features not in STEP5_FEATURE_KINDS:
             raise ValueError("step5_features must be 'smoothed' or 'raw'")
         if self.top < 1:
             raise ValueError("top must be at least 1")
@@ -143,19 +147,20 @@ class PipelineConfig:
 
 @dataclass
 class DetectionResult:
-    """Scores and flags over the smoothed test timeline.
+    """Scores and 0/1 ``int8`` flags over the smoothed test timeline.
 
     ``time_offset`` maps score index 0 back to original test position
     ``h - 1``.
     """
 
     scores: np.ndarray
-    flags: LabelVector
+    flags: np.ndarray
     time_offset: int
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.scores.shape != (len(self.flags),):
+        self.flags = as_labels(self.flags, "flags")
+        if self.scores.shape != self.flags.shape:
             raise ValueError("scores and flags must have equal length")
 
 
@@ -320,7 +325,6 @@ def run_detect(
     train, test = _resolve_data(cfg)
     model, fit_info = load_or_fit_model(cfg, train=train)
     result, score_info = apply_detector(model, test)
-    flags = result.flags.labels
     report = {
         "tool": {"name": "madkit", "version": _version},
         "config": _config_block(cfg),
@@ -330,9 +334,9 @@ def run_detect(
         "train_scores": fit_info["train_scores"],
         "detection": {
             "n_scores": int(result.scores.size),
-            "n_flags": int(flags.sum()),
+            "n_flags": int(result.flags.sum()),
             "time_offset": result.time_offset,
-            "flagged_intervals": _intervals(flags, result.time_offset),
+            "flagged_intervals": _intervals(result.flags, result.time_offset),
         },
         "timing": {
             "fit_seconds": sum(fit_info["timing"].values()),
@@ -393,7 +397,7 @@ def _intervals(flags: np.ndarray, offset: int) -> list[dict]:
 def run_explain(
     cfg: PipelineConfig,
     model: DetectorModel,
-    flags: LabelVector,
+    flags: np.ndarray,
     *,
     train: SeriesMatrix,
     test: SeriesMatrix,

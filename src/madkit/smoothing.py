@@ -58,15 +58,11 @@ def smooth_series(x: np.ndarray, config: SmoothConfig) -> np.ndarray:
 def smooth_matrix(matrix: SeriesMatrix, config: SmoothConfig) -> SeriesMatrix:
     """Apply the moving filter to every variable of a matrix.
 
-    The result records the alignment shift: its ``time_offset`` grows by
-    ``h - 1`` so column 0 maps back to the original timeline.
+    Column ``j`` of the result is the window ending at column ``j + h - 1``
+    of the input.
     """
     smoothed = _smooth_last_axis(matrix.values, config)
-    return SeriesMatrix(
-        names=list(matrix.names),
-        values=smoothed,
-        time_offset=matrix.time_offset + config.h - 1,
-    )
+    return SeriesMatrix(names=list(matrix.names), values=smoothed)
 
 
 def align_labels(labels: np.ndarray, h: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .data import LabelVector, SeriesMatrix, SplitSpec
+from .data import SeriesMatrix, SplitSpec
 
 _BURN_IN = 500
 _FACTOR_AR = 0.7
@@ -112,11 +112,11 @@ def _ar1(rng: np.random.Generator, phi: float, t: int, rows: int) -> np.ndarray:
     return series[:, _BURN_IN:]
 
 
-def generate(config: SynthConfig) -> tuple[SeriesMatrix, LabelVector, SplitSpec]:
+def generate(config: SynthConfig) -> tuple[SeriesMatrix, np.ndarray, SplitSpec]:
     """Generate (matrix, truth labels, split) from a configuration.
 
-    The truth vector spans the full timeline and is 1 exactly on the
-    configured anomaly windows (training positions are all 0).
+    The ``int8`` truth vector spans the full timeline and is 1 exactly on
+    the configured anomaly windows (training positions are all 0).
     """
     rng = np.random.default_rng(config.seed)
     n, t = config.n, config.t_train + config.t_test
@@ -149,4 +149,4 @@ def generate(config: SynthConfig) -> tuple[SeriesMatrix, LabelVector, SplitSpec]
     matrix = SeriesMatrix(
         names=[f"v{i + 1}" for i in range(n)], values=values
     )
-    return matrix, LabelVector(truth), SplitSpec(config.t_train)
+    return matrix, truth, SplitSpec(config.t_train)

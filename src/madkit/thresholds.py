@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, stats
 
-from .data import THRESHOLD_KINDS, GpdParameters, LabelVector
+from .data import THRESHOLD_KINDS, GpdParameters
 
 # below this many exceedances a tail fit is not trustworthy
 MIN_EXCEEDANCES = 30
@@ -213,9 +213,9 @@ def chi2_threshold(m: int, alpha: float = 0.01) -> float:
     return float(math.sqrt(stats.chi2.ppf(1.0 - alpha, df=m)))
 
 
-def flag(scores: np.ndarray, k: float) -> LabelVector:
-    """Mark every score strictly above ``k`` as anomalous."""
+def flag(scores: np.ndarray, k: float) -> np.ndarray:
+    """0/1 ``int8`` flags: 1 where a score is strictly above ``k``."""
     scores = np.asarray(scores, dtype=np.float64)
     if not k > 0:
         raise ValueError("threshold k must be positive")
-    return LabelVector((scores > k).astype(np.int8))
+    return (scores > k).astype(np.int8)

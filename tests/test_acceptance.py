@@ -83,7 +83,7 @@ def test_criterion_02_mvt_never_flags_training_data():
         fit = fit_scatter(centered)
         scores = score_all(fit, centered)
         k = mvt_threshold(scores)
-        assert flag(scores, k).labels.sum() == 0
+        assert flag(scores, k).sum() == 0
         checked += 1
     report(2, f"{checked} random training sets, zero self-flags")
 
@@ -289,7 +289,7 @@ def test_criterion_07_synthetic_end_to_end():
     matrix, truth, spec = generate(cfg)
     train = matrix.slice_time(0, spec.train_end)
     test = matrix.slice_time(spec.train_end, matrix.n_times)
-    truth_test = truth.labels[t_train:]
+    truth_test = truth[t_train:]
     clusters = extract_clusters(truth_test, min_length=100)
     assert len(clusters) == 3
     segment = (clusters[0].start, clusters[-1].end + 1)
@@ -301,7 +301,7 @@ def test_criterion_07_synthetic_end_to_end():
         )
         assert len(model.retained) == 15  # the 5 exact dependents pruned
         result, _ = apply_detector(model, test)
-        flags = result.flags.labels
+        flags = result.flags
         assert ric(flags, clusters) == 1.0, kind
         seg_pred = flags[segment[0] : segment[1]]
         seg_truth = truth_test[segment[0] : segment[1]]
@@ -333,12 +333,12 @@ def test_criterion_07_synthetic_end_to_end():
     model1, _ = fit_detector(sp_train)
     res1, _ = apply_detector(model1, sp_test)
     spike_local = [p - t_train for p in spike_positions]
-    assert res1.flags.labels[spike_local].sum() > 0
+    assert res1.flags[spike_local].sum() > 0
 
     # h=10 median smoothing: no flag within any spike's window span
     model10, _ = fit_detector(sp_train, smooth=SmoothConfig(h=10, kind="median"))
     res10, _ = apply_detector(model10, sp_test)
-    flags10 = res10.flags.labels
+    flags10 = res10.flags
     hits = 0
     for p in spike_local:
         # score index i summarizes raw window [i, i + h - 1]
@@ -388,7 +388,7 @@ def test_criterion_08_smd_machine_1_1():
     model, result, _ = run_detect(cfg)
     clusters = extract_clusters(labels, min_length=100)
     assert len(clusters) == 5
-    assert ric(result.flags.labels, clusters) == 1.0
+    assert ric(result.flags, clusters) == 1.0
 
     interp = SMD_DIR / "interpretation_label" / "machine-1-1.txt"
     cause_note = "no interpretation file"

@@ -9,12 +9,12 @@ from madkit.data import (
     CsvFormatError,
     DetectorModel,
     GpdParameters,
-    LabelVector,
     ModelFormatError,
     SeriesMatrix,
     SplitSpec,
     _read_labels_bulk,
     _read_labels_rows,
+    as_labels,
     load_csv,
     load_headerless,
     load_labels,
@@ -87,11 +87,10 @@ def test_matrix_select_reorders_rows():
     assert np.array_equal(sub.values[1], m.values[0])
 
 
-def test_matrix_slice_time_advances_offset():
+def test_matrix_slice_time_takes_columns():
     m = make_matrix(n=2, t=10)
     sub = m.slice_time(3, 8)
     assert sub.n_times == 5
-    assert sub.time_offset == 3
     assert np.array_equal(sub.values, m.values[:, 3:8])
 
 
@@ -100,23 +99,67 @@ def test_matrix_has_no_period_field():
         SeriesMatrix(names=["a"], values=np.zeros((1, 3)), period_seconds=1.0)
 
 
+def test_matrix_has_no_time_offset_field():
+    # the smoothed timeline's shift lives in DetectionResult.time_offset
+    with pytest.raises(TypeError, match="time_offset"):
+        SeriesMatrix(names=["a"], values=np.zeros((1, 3)), time_offset=0)
+
+
 # ---------------------------------------------------------------------------
-# LabelVector and splitting
+# labels and splitting
 
 
 def test_labels_accept_only_zero_one():
-    lv = LabelVector(np.array([0, 1, 1, 0]))
-    assert lv.labels.dtype == np.int8
-    assert len(lv) == 4
-    with pytest.raises(ValueError, match="only 0 and 1"):
-        LabelVector(np.array([0, 2]))
+    labels = as_labels(np.array([0, 1, 1, 0]))
+    assert labels.dtype == np.int8
+    assert labels.tolist() == [0, 1, 1, 0]
+    assert as_labels(np.array([True, False])).tolist() == [1, 0]
+    for bad in ([0, 2], [0.5, 1.0], [-1, 1], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            as_labels(np.array(bad))
 
 
-def test_labels_reject_empty_and_2d():
-    with pytest.raises(ValueError):
-        LabelVector(np.array([], dtype=int))
-    with pytest.raises(ValueError):
-        LabelVector(np.zeros((2, 2), dtype=int))
+def test_labels_reject_empty_and_2d(tmp_path):
+    with pytest.raises(ValueError, match="1-D"):
+        as_labels(np.zeros((2, 2), dtype=int))
+    # an empty label column is a file without data rows, rejected as read
+    path = tmp_path / "empty.csv"
+    path.write_text("a,label\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError, match="no data rows"):
+        load_csv(path, label_column="label")
+    with pytest.raises(CsvFormatError, match="no data rows"):
+        load_labels(path, "label")
+
+
+BAD_LABELS = {
+    "two": [0, 2],
+    "fraction": [0.5, 1.0],
+    "negative": [-1, 1],
+    "two-d": [[0, 1], [1, 0]],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+def test_label_consumers_reject_non_binary(tmp_path, bad):
+    # one check guards every function that takes labels; a fraction is
+    # rejected, not truncated to 0
+    from madkit.importance import assemble_explain_dataset
+    from madkit.metrics import confusion, extract_clusters, ric
+
+    bad = np.array(bad)
+    good = np.array([0, 1])
+    matrix = make_matrix(n=2, t=2)
+    calls = [
+        lambda: confusion(bad, good),
+        lambda: confusion(good, bad),
+        lambda: extract_clusters(bad),
+        lambda: ric(bad, extract_clusters(good)),
+        lambda: save_csv(matrix, tmp_path / "m.csv", labels=bad),
+        lambda: assemble_explain_dataset(matrix, bad, (0, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="only 0 and 1|1-D"):
+            call()
 
 
 def test_split_spec_minimum():
@@ -130,7 +173,6 @@ def test_split_halves_align():
     train, test = split(m, SplitSpec(6))
     assert train.n_times == 6
     assert test.n_times == 4
-    assert test.time_offset == 6
     assert np.array_equal(
         np.hstack([train.values, test.values]), m.values
     )
@@ -159,12 +201,12 @@ def test_csv_round_trip_is_exact(tmp_path):
 
 def test_csv_round_trip_with_labels(tmp_path):
     m = make_matrix(n=2, t=20, seed=1)
-    lv = LabelVector((np.arange(20) % 3 == 0).astype(int))
+    lv = (np.arange(20) % 3 == 0).astype(int)
     path = tmp_path / "m.csv"
     save_csv(m, path, labels=lv)
     back, labels2 = load_csv(path, label_column="label")
     assert np.array_equal(back.values, m.values)
-    assert np.array_equal(labels2.labels, lv.labels)
+    assert np.array_equal(labels2, lv)
 
 
 def test_csv_bad_cell_is_located(tmp_path):
@@ -548,7 +590,7 @@ def test_gpd_parameters_validation():
         GpdParameters(gamma=0.1, delta=1.0, l=1.0, t_l=200, t_total=100, loglik=0.0)
 
 
-def make_model(threshold_kind="mvt", gpd=None, vif_trace=()):
+def make_model(threshold_kind="mvt", gpd=None, vif_trace=((1, 12.5),)):
     sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
     return DetectorModel(
         retained=[0, 2],
@@ -587,6 +629,27 @@ def test_model_rejects_nonpositive_threshold():
 def test_model_rejects_overlapping_trace():
     with pytest.raises(ValueError, match="overlap"):
         make_model(vif_trace=[(0, 9.0)])
+
+
+def test_model_indices_must_number_every_variable_once():
+    # retained and removed together are 0 .. n - 1, each exactly once
+    for retained, removed in (
+        ([0, 2], []),  # variable 1 missing
+        ([0, 3], [1]),  # 3 out of range for 3 variables
+        ([-1, 0], [1]),  # negative
+        ([0, 0], [1]),  # repeated
+        ([0, 2], [1, 1]),  # repeated in the trace
+    ):
+        with pytest.raises(ValueError, match="once each"):
+            DetectorModel(
+                retained=retained,
+                h=1,
+                filter_kind="mean",
+                scatter=ScatterFit(mu=np.zeros(2), sigma=np.eye(2)),
+                threshold_kind="mvt",
+                k=1.0,
+                vif_trace=[(i, 10.0) for i in removed],
+            )
 
 
 def test_model_file_round_trip(tmp_path):

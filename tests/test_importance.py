@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from madkit.data import LabelVector, SeriesMatrix
+from madkit.data import SeriesMatrix
 from madkit.importance import (
     ConvergenceError,
     DecisionTree,
@@ -54,7 +54,7 @@ def test_assemble_window_and_tail():
     rng = np.random.default_rng(0)
     test = SeriesMatrix(names=["a", "b"], values=rng.standard_normal((2, 10)))
     train = SeriesMatrix(names=["a", "b"], values=rng.standard_normal((2, 8)))
-    flags = LabelVector(np.array([0, 0, 1, 1, 0, 0, 0, 0, 0, 0]))
+    flags = np.array([0, 0, 1, 1, 0, 0, 0, 0, 0, 0])
     ds = assemble_explain_dataset(test, flags, (1, 5), train_tail=train, n_extra=3)
     assert ds.n_rows == 4 + 3
     assert ds.n_features == 2
@@ -68,7 +68,7 @@ def test_assemble_window_and_tail():
 def test_assemble_requires_both_classes():
     rng = np.random.default_rng(1)
     test = SeriesMatrix(names=["a"], values=rng.standard_normal((1, 6)))
-    flags = LabelVector(np.ones(6, dtype=int))
+    flags = np.ones(6, dtype=int)
     with pytest.raises(SingleClassError):
         assemble_explain_dataset(test, flags, (0, 6))  # all flagged, no tail
     # adding normal tail rows silences the error

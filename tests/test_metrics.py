@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from madkit.data import LabelVector
 from madkit.metrics import (
     AnomalyCluster,
     ConfusionCounts,
@@ -191,7 +190,7 @@ def test_ric_matches_brute_force():
         )
         assert ric(pred, clusters) == covered / len(brute_clusters(truth))
     # runs at index 0 and n - 1, the subsets that --min-cluster-len keeps,
-    # and a LabelVector prediction
+    # and an int8 prediction
     for _ in range(30):
         n = int(rng.integers(5, 300))
         truth = (rng.random(n) < 0.5).astype(int)
@@ -206,7 +205,7 @@ def test_ric_matches_brute_force():
             continue
         covered = sum(1 for s, e in runs if any(pred[s : e + 1]))
         assert ric(pred, clusters) == covered / len(runs)
-        assert ric(LabelVector(pred), clusters) == covered / len(runs)
+        assert ric(pred.astype(np.int8), clusters) == covered / len(runs)
 
 
 def test_ric_hits_at_the_vector_ends():
@@ -215,7 +214,7 @@ def test_ric_hits_at_the_vector_ends():
     assert ric(np.array([0, 0, 0, 0, 1]), clusters) == 0.5
     assert ric(np.array([1, 0, 0, 0, 0]), clusters) == 0.5
     assert ric(np.array([0, 1, 0, 1, 0]), clusters) == 0.5
-    assert ric(LabelVector(np.array([0, 1, 1, 1, 1])), clusters) == 1.0
+    assert ric(np.array([0, 1, 1, 1, 1]), clusters) == 1.0
     # a --min-cluster-len subset needs only its own clusters covered
     long_only = extract_clusters(np.array([1, 1, 0, 1]), min_length=2)
     assert ric(np.array([0, 1]), long_only) == 1.0

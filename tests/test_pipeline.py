@@ -7,7 +7,6 @@ import pytest
 
 from madkit.cli import _build_parser, _merge_config, _pipeline_config, main
 from madkit.data import (
-    LabelVector,
     _read_labels_rows,
     load_csv,
     load_model,
@@ -71,15 +70,15 @@ def test_training_data_never_flags_itself_under_mvt():
     train, _, _ = corpus(seed=1)
     model, _ = fit_detector(train, threshold=ThresholdSpec(kind="mvt"))
     result, _ = apply_detector(model, train)
-    assert result.flags.labels.sum() == 0
+    assert result.flags.sum() == 0
 
 
 def test_detect_finds_planted_anomaly():
     train, test, truth = corpus(seed=2)
     model, _ = fit_detector(train)
     result, _ = apply_detector(model, test)
-    flagged = np.flatnonzero(result.flags.labels)
-    window = np.flatnonzero(truth.labels[3000:])
+    flagged = np.flatnonzero(result.flags)
+    window = np.flatnonzero(truth[3000:])
     assert flagged.size > 0
     assert np.isin(flagged, window).mean() > 0.9
 
@@ -124,7 +123,7 @@ def test_run_detect_report_shape():
     assert report["steps"] == list(STEP_ORDER)
     assert report["tool"]["name"] == "madkit"
     assert report["detection"]["n_scores"] == result.scores.size
-    assert report["detection"]["n_flags"] == int(result.flags.labels.sum())
+    assert report["detection"]["n_flags"] == int(result.flags.sum())
     assert report["threshold"]["kind"] == "mvt"
     assert report["threshold"]["k"] == model.k
     assert "fit_seconds" in report["timing"]
@@ -174,7 +173,7 @@ def test_run_explain_ranks_planted_variables():
     train, test, _ = corpus(seed=9, anomalies=anomalies)
     cfg = PipelineConfig(train=train, test=test, importance="both", rf_trees=60)
     model, result, _ = run_detect(cfg)
-    assert result.flags.labels.sum() > 0
+    assert result.flags.sum() > 0
     reports = run_explain(cfg, model, result.flags, train=train, test=test)
     assert [r.method for r in reports] == ["rf-gini", "lr-rcde"]
     for rep in reports:
@@ -183,11 +182,43 @@ def test_run_explain_ranks_planted_variables():
         assert "v5" in top
 
 
+def test_run_explain_raw_features_are_window_end_columns(monkeypatch):
+    # step5_features="raw" pairs smoothed position j with raw column
+    # j + h - 1, the end of its smoothing window
+    train, test, _ = corpus(seed=11, t_train=1000, t_test=400)
+    h, window, n_extra = 5, (150, 250), 50
+    cfg = PipelineConfig(
+        train=train, test=test, smooth=SmoothConfig(h=h), rf_trees=3,
+        step5_features="raw", step5_window=window, step5_extra=n_extra,
+    )
+    model, result, _ = run_detect(cfg)
+    import madkit.pipeline
+
+    datasets = []
+    assemble = madkit.pipeline.assemble_explain_dataset
+
+    def recorded(*args, **kwargs):
+        datasets.append(assemble(*args, **kwargs))
+        return datasets[-1]
+
+    monkeypatch.setattr(madkit.pipeline, "assemble_explain_dataset", recorded)
+    run_explain(cfg, model, result.flags, train=train, test=test)
+    (ds,) = datasets
+    start, stop = window
+    rows = stop - start
+    assert ds.n_rows == rows + n_extra
+    assert np.array_equal(ds.features[:rows], test.values[:, h - 1 :][:, start:stop].T)
+    assert np.array_equal(ds.targets[:rows], result.flags[start:stop])
+    assert 0 < ds.targets.sum() < rows
+    assert np.array_equal(ds.features[rows:], train.values[:, -n_extra:].T)
+    assert not ds.targets[rows:].any()
+
+
 def test_run_explain_zero_flag_window_fails():
     train, test, _ = corpus(seed=10, anomalies=())
     cfg = PipelineConfig(train=train, test=test, step5_window=(0, 50))
     model, result, _ = run_detect(cfg)
-    assert result.flags.labels[:50].sum() == 0
+    assert result.flags[:50].sum() == 0
     with pytest.raises(PipelineError) as err:
         run_explain(cfg, model, result.flags, train=train, test=test)
     assert err.value.stage == "explain"
@@ -268,7 +299,7 @@ def test_model_reuse_matches_fresh_run(tmp_path):
     r1, _ = apply_detector(model, test)
     r2, _ = apply_detector(back, test)
     assert np.array_equal(r1.scores, r2.scores)
-    assert np.array_equal(r1.flags.labels, r2.flags.labels)
+    assert np.array_equal(r1.flags, r2.flags)
 
 
 def test_pipeline_config_validation(tmp_path):
@@ -333,7 +364,7 @@ def write_corpus(tmp_path, seed=0):
     save_csv(test, test_csv)
     with open(truth_csv, "w", encoding="utf-8") as fh:
         fh.write("label\n")
-        for v in truth.labels[3000:]:
+        for v in truth[3000:]:
             fh.write(f"{int(v)}\n")
     return train_csv, test_csv, truth_csv
 
@@ -507,6 +538,30 @@ def test_cli_score_rejects_reordered_columns(tmp_path, capsys):
     code = main(["score", "--model", str(model_path), "--data", str(swapped)])
     assert code == EXIT_CODES["score"]
     assert "test variable 0 is 'v2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_index", ["out-of-range", "negative"])
+def test_cli_score_rejects_bad_variable_index(tmp_path, capsys, bad_index):
+    # an edited model file must not crash (out of range) or score the
+    # wrong variables (a negative index counts from the end)
+    train_csv, test_csv, _ = write_corpus(tmp_path, seed=8)
+    model_path = tmp_path / "model.txt"
+    assert main(["fit", "--train", str(train_csv), "--out", str(model_path)]) == 0
+    model = load_model(model_path)
+    retained = list(model.retained)
+    if bad_index == "out-of-range":
+        retained[-1] = model.n_original
+    else:
+        retained[0] = -1
+    text = model_path.read_text(encoding="utf-8")
+    line = "retained: " + ",".join(map(str, model.retained))
+    edited = "retained: " + ",".join(map(str, retained))
+    model_path.write_text(text.replace(line, edited), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["score", "--model", str(model_path), "--data", str(test_csv)])
+    assert code == EXIT_CODES["ingest"]
+    err = capsys.readouterr().err
+    assert err.startswith("error [ingest]") and "once each" in err
 
 
 def test_cli_rejects_wrong_inputs_loudly(tmp_path, capsys):

@@ -111,13 +111,10 @@ def test_output_bounded_by_window_extremes():
 
 def test_matrix_smoothing_per_variable():
     rng = np.random.default_rng(5)
-    m = SeriesMatrix(
-        names=["a", "b"], values=rng.standard_normal((2, 40)), time_offset=2
-    )
+    m = SeriesMatrix(names=["a", "b"], values=rng.standard_normal((2, 40)))
     out = smooth_matrix(m, SmoothConfig(5, "median"))
     assert out.names == ["a", "b"]
     assert out.n_times == 36
-    assert out.time_offset == 2 + 4  # grows by h - 1
     for i in range(2):
         row = smooth_series(m.values[i], SmoothConfig(5, "median"))
         assert np.array_equal(out.values[i], row)

@@ -18,7 +18,7 @@ def test_shapes_names_and_split():
 def test_truth_all_zero_without_anomalies():
     cfg = SynthConfig(n=3, t_train=50, t_test=30, seed=1)
     _, truth, _ = generate(cfg)
-    assert truth.labels.sum() == 0
+    assert truth.sum() == 0
 
 
 def test_truth_marks_exact_windows():
@@ -36,7 +36,7 @@ def test_truth_marks_exact_windows():
     expected = np.zeros(100, dtype=np.int8)
     expected[60:65] = 1
     expected[80:83] = 1
-    assert np.array_equal(truth.labels, expected)
+    assert np.array_equal(truth, expected)
 
 
 def test_same_seed_reproduces_everything():
@@ -51,7 +51,7 @@ def test_same_seed_reproduces_everything():
     m1, t1, _ = generate(cfg)
     m2, t2, _ = generate(cfg)
     assert np.array_equal(m1.values, m2.values)
-    assert np.array_equal(t1.labels, t2.labels)
+    assert np.array_equal(t1, t2)
 
 
 def test_seeds_change_the_draw():
