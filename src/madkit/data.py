@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -141,6 +142,8 @@ class GpdParameters:
     loglik: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.gamma, self.delta, self.l, self.loglik))):
+            raise ValueError("gamma, delta, l and loglik must be finite")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
         if self.t_l < 1 or self.t_total < self.t_l:
@@ -186,8 +189,8 @@ class DetectorModel:
             raise ValueError(f"threshold_kind must be one of {THRESHOLD_KINDS}")
         if self.scatter.m != m:
             raise ValueError("scatter size must match retained count")
-        if not self.k > 0:
-            raise ValueError("threshold k must be positive")
+        if not (self.k > 0 and math.isfinite(self.k)):
+            raise ValueError("threshold k must be positive and finite")
         if self.threshold_kind == "pot" and self.gpd is None:
             raise ValueError("POT model requires gpd parameters")
         if self.names is not None and not (

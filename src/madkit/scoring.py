@@ -43,6 +43,9 @@ class ScatterFit:
         self.sigma = np.asarray(self.sigma, dtype=np.float64)
         if self.mu.shape != self.sigma.shape[:1]:
             raise ValueError("mu length must equal the variable count")
+        # Cholesky of a nan sigma returns nan instead of raising
+        if not (np.isfinite(self.mu).all() and np.isfinite(self.sigma).all()):
+            raise ValueError("mu and sigma must be finite")
         try:
             self.chol = np.linalg.cholesky(self.sigma)
         except np.linalg.LinAlgError as exc:

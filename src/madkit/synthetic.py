@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .data import SeriesMatrix, SplitSpec
 
@@ -106,7 +105,13 @@ class SynthConfig:
 
 
 def _ar1(rng: np.random.Generator, phi: float, t: int, rows: int) -> np.ndarray:
-    """Stationary AR(1) rows with unit innovation variance, burn-in dropped."""
+    """Stationary AR(1) rows with unit innovation variance, burn-in dropped.
+
+    ``scipy.signal`` is imported on first use, so that only ``synth`` pays
+    for it and not every command's start-up.
+    """
+    from scipy.signal import lfilter
+
     innov = rng.standard_normal((rows, t + _BURN_IN))
     series = lfilter([1.0], [1.0, -phi], innov, axis=1)
     return series[:, _BURN_IN:]

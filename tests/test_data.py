@@ -590,6 +590,15 @@ def test_gpd_parameters_validation():
         GpdParameters(gamma=0.1, delta=1.0, l=1.0, t_l=200, t_total=100, loglik=0.0)
 
 
+@pytest.mark.parametrize("field", ["gamma", "delta", "l", "loglik"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gpd_parameters_reject_non_finite(field, bad):
+    values = dict(gamma=0.1, delta=1.0, l=1.0, t_l=10, t_total=100, loglik=-3.0)
+    values[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GpdParameters(**values)
+
+
 def make_model(threshold_kind="mvt", gpd=None, vif_trace=((1, 12.5),)):
     sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
     return DetectorModel(
@@ -623,6 +632,19 @@ def test_model_rejects_nonpositive_threshold():
             scatter=ScatterFit(mu=np.zeros(2), sigma=np.eye(2)),
             threshold_kind="mvt",
             k=0.0,
+        )
+
+
+@pytest.mark.parametrize("k", [np.inf, np.nan])
+def test_model_rejects_non_finite_threshold(k):
+    with pytest.raises(ValueError, match="threshold k must be positive and finite"):
+        DetectorModel(
+            retained=[0, 1],
+            h=1,
+            filter_kind="mean",
+            scatter=ScatterFit(mu=np.zeros(2), sigma=np.eye(2)),
+            threshold_kind="mvt",
+            k=k,
         )
 
 

@@ -564,6 +564,41 @@ def test_cli_score_rejects_bad_variable_index(tmp_path, capsys, bad_index):
     assert err.startswith("error [ingest]") and "once each" in err
 
 
+@pytest.mark.parametrize(
+    "key, row, cell, value",
+    [
+        ("mu", 0, 0, "nan"),
+        ("sigma_rows", 1, 0, "nan"),  # the first sigma row
+        ("k", 0, 0, "inf"),
+        ("gpd", 0, 0, "nan"),  # gamma
+        ("gpd", 0, 1, "nan"),  # delta
+        ("gpd", 0, 2, "nan"),  # l
+        ("gpd", 0, 5, "nan"),  # loglik
+    ],
+    ids=["mu", "sigma", "k", "gamma", "delta", "l", "loglik"],
+)
+def test_cli_score_rejects_non_finite_model_field(
+    tmp_path, capsys, key, row, cell, value
+):
+    # a nan mu once scored every point as nan and flagged none, exit 0
+    train_csv, test_csv, _ = write_corpus(tmp_path, seed=9)
+    model_path = tmp_path / "model.txt"
+    fit = ["fit", "--train", str(train_csv), "--threshold", "pot"]
+    assert main([*fit, "--out", str(model_path)]) == 0
+    lines = model_path.read_text(encoding="utf-8").splitlines()
+    i = row + next(i for i, line in enumerate(lines) if line.startswith(key + ":"))
+    head, sep, body = lines[i].rpartition(": ")
+    cells = body.split(",")
+    cells[cell] = value
+    lines[i] = head + sep + ",".join(cells)
+    model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["score", "--model", str(model_path), "--data", str(test_csv)])
+    assert code == EXIT_CODES["ingest"] == 10
+    err = capsys.readouterr().err
+    assert err.startswith("error [ingest]") and "finite" in err
+
+
 def test_cli_rejects_wrong_inputs_loudly(tmp_path, capsys):
     train_csv, test_csv, _ = write_corpus(tmp_path, seed=7)
     pred = tmp_path / "pred.csv"

@@ -115,6 +115,22 @@ def test_fit_scatter_keeps_mu():
         fit_scatter(centered, np.zeros(2))
 
 
+@pytest.mark.parametrize("field", ["mu", "sigma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scatter_fit_rejects_non_finite(field, bad):
+    # Cholesky of a nan sigma returns nan and raises nothing, so every
+    # score would be nan; a bad field is a plain ValueError, not a
+    # singular-covariance error
+    mu, sigma = np.zeros(2), np.eye(2)
+    if field == "mu":
+        mu[1] = bad
+    else:
+        sigma[0, 1] = sigma[1, 0] = bad
+    with pytest.raises(ValueError, match="finite") as info:
+        ScatterFit(mu=mu, sigma=sigma)
+    assert not isinstance(info.value, SingularCovarianceError)
+
+
 def test_score_input_validation():
     fit = manual_fit(np.eye(2))
     with pytest.raises(ValueError, match="length-2"):

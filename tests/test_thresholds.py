@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from madkit.data import GpdParameters
 from madkit.thresholds import (
@@ -72,6 +72,20 @@ def test_chi2_frozen_quantiles():
     # chi2(df=1).ppf(0.95) = 3.8415, chi2(df=2).ppf(0.99) = 9.2103
     assert abs(chi2_threshold(1, 0.05) - math.sqrt(3.8415)) < 1e-3
     assert abs(chi2_threshold(2, 0.01) - math.sqrt(9.2103)) < 1e-3
+
+
+def test_chi2_threshold_is_bit_identical_to_stats_chi2_ppf():
+    # chi2_threshold imports scipy.stats lazily; it must still be exactly
+    # chi2.ppf.  scipy.special.chdtri is not a substitute: on this grid
+    # it differs in the last bits for hundreds of (m, alpha) pairs
+    alphas = (0.2, 0.05, 0.01, 0.001, 1e-6)
+    grid = [(m, a) for a in alphas for m in range(1, 201)]
+    for m, a in grid:
+        assert chi2_threshold(m, a) == math.sqrt(stats.chi2.ppf(1.0 - a, m)), (m, a)
+    chdtri_differs = sum(
+        chi2_threshold(m, a) != math.sqrt(special.chdtri(m, a)) for m, a in grid
+    )
+    assert chdtri_differs > 100
 
 
 def test_chi2_exceedance_rate_under_gaussian_scores():
