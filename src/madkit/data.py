@@ -157,7 +157,8 @@ class DetectorModel:
     ``retained`` indexes into the original variable order; ``scatter``
     is in the reduced (retained) order.  ``vif_trace`` records the removed
     variables as ``(original_index, vif_at_removal)`` pairs, in removal
-    order.  ``names`` are the fitted data's variable names in original
+    order; a VIF may be ``inf`` (exact collinearity) but never ``nan``.
+    ``names`` are the fitted data's variable names in original
     order, or ``None`` when unknown (a model read from a v1 file).
     """
 
@@ -189,6 +190,10 @@ class DetectorModel:
             raise ValueError(f"threshold_kind must be one of {THRESHOLD_KINDS}")
         if self.scatter.m != m:
             raise ValueError("scatter size must match retained count")
+        if any(math.isnan(vif) for _, vif in self.vif_trace):
+            raise ValueError(
+                "VIFs in vif_trace must be finite, or inf for exact collinearity"
+            )
         if not (self.k > 0 and math.isfinite(self.k)):
             raise ValueError("threshold k must be positive and finite")
         if self.threshold_kind == "pot" and self.gpd is None:
@@ -612,7 +617,7 @@ def load_model(path) -> DetectorModel:
             parts = _take(lines, "gpd", path).split(",")
             if len(parts) != 6:
                 raise ModelFormatError(f"{path}: malformed gpd field")
-            gpd = GpdParameters(
+            gpd = dict(
                 gamma=float(parts[0]),
                 delta=float(parts[1]),
                 l=float(parts[2]),
@@ -632,7 +637,7 @@ def load_model(path) -> DetectorModel:
             scatter=ScatterFit(mu=mu, sigma=sigma),
             threshold_kind=threshold_kind,
             k=k,
-            gpd=gpd,
+            gpd=None if gpd is None else GpdParameters(**gpd),
             vif_trace=vif_trace,
             names=names,
         )

@@ -232,51 +232,57 @@ def _gini(ones: float, total: float) -> float:
     return 1.0 - p1 * p1 - p0 * p0
 
 
-def _best_split(
-    ranks: np.ndarray, values: np.ndarray, y: np.ndarray, parent_gini: float
-):
-    """Best Gini split over the columns of a node's ``(s, q)`` blocks.
+def _cut_side(sq_ones, zeros, n, n_sq):
+    """``n * (1 - (ones**2 + zeros**2) / n**2)`` for one side of every
+    cut, given ``ones**2``: the weighted Gini impurity, rounded step by
+    step as that expression is, computed in place in ``sq_ones``."""
+    sq_ones += np.square(zeros, out=zeros)
+    sq_ones /= n_sq
+    np.subtract(1.0, sq_ones, out=sq_ones)
+    sq_ones *= n
+    return sq_ones
 
-    ``ranks`` holds the dense ranks (see :func:`_dense_ranks`) of the
-    float ``values`` block beside it.  Rows are ordered by a stable
-    argsort of the ranks, which numpy runs as a radix sort when they are
-    ``uint16``; a stable sort on dense ranks gives the same permutation as
-    one on the finite values, so the class counts, Gini sums and the
-    chosen boundary are the bits a float sort would give.  Candidate
-    thresholds are midpoints between consecutive distinct values.  Returns
-    ``(gain, column, threshold)`` or ``None`` when no column admits a
-    split with positive impurity decrease.
+
+def _best_split(ranks: np.ndarray, y: np.ndarray, ones: int, counts):
+    """Best Gini split of a node's ``(q, s)`` rank block.
+
+    ``ranks`` holds one C-contiguous row per drawn variable: the dense
+    ranks (see :func:`_dense_ranks`) of the node's ``s`` rows, whose 0/1
+    classes are ``y``, ``ones`` of them 1.  Each row is ordered by a
+    stable argsort of its ranks, which numpy runs as a radix sort on
+    ``uint16``; ranks order rows as their finite values do, so the class
+    counts and Gini sums are the bits a float sort gives.  The arithmetic
+    runs along rows of ``s - 1`` cuts, with row counts sliced from the
+    tree's ``counts``.  Cuts inside a run of tied ranks are excluded; of
+    equal minima the smallest position, then the lowest column, wins.
+    Returns ``(gain, column, pos, order, ones_left)``: the rows
+    ``order[:pos + 1]`` go left, ``ones_left`` of them class 1; or
+    ``None`` when no column admits a split with positive impurity
+    decrease.
     """
-    s = ranks.shape[0]
-    order = np.argsort(ranks, axis=0, kind="stable")
-    sorted_ranks = np.sort(ranks, axis=0)  # cheaper than gathering by order
-    ones = np.cumsum(y[order], axis=0, dtype=np.float64)
-    n_left = np.arange(1, s, dtype=np.float64)[:, None]
-    n_right = s - n_left
-    ones_left = ones[:-1]
-    ones_right = ones[-1] - ones_left
-    gini_left = 1.0 - (
-        ones_left**2 + (n_left - ones_left) ** 2
-    ) / (n_left * n_left)
-    gini_right = 1.0 - (
-        ones_right**2 + (n_right - ones_right) ** 2
-    ) / (n_right * n_right)
-    weighted = (n_left * gini_left + n_right * gini_right) / s
-    weighted[sorted_ranks[:-1] >= sorted_ranks[1:]] = np.inf  # duplicate values
-    flat = int(np.argmin(weighted))
-    pos, col = divmod(flat, weighted.shape[1])
-    best = weighted[pos, col]
-    if not np.isfinite(best):
+    q, s = ranks.shape
+    order = ranks.argsort(axis=1, kind="stable")
+    sorted_ranks = np.sort(ranks, axis=1)  # cheaper than gathering by order
+    n_left, sq_left = counts[:2, 1:s]
+    n_right, sq_right = counts[2:, -s:-1]
+    ones_left = y[order[:, :-1]].cumsum(axis=1)
+    zeros_left = n_left - ones_left
+    ones_right = ones - ones_left
+    zeros_right = (s - ones) - zeros_left
+    weighted = _cut_side(np.square(ones_left), zeros_left, n_left, sq_left)
+    weighted += _cut_side(
+        np.square(ones_right, out=ones_right), zeros_right, n_right, sq_right
+    )
+    weighted /= s
+    weighted[sorted_ranks[:, :-1] == sorted_ranks[:, 1:]] = np.inf  # ties
+    pos = weighted.argmin(axis=1)
+    best, pos, col = min(
+        zip(weighted[np.arange(q), pos].tolist(), pos.tolist(), range(q))
+    )
+    gain = _gini(ones, s) - best
+    if not gain > 0.0:  # also when every cut is a tie: best is inf
         return None
-    gain = parent_gini - float(best)
-    if gain <= 0.0:
-        return None
-    lo = values[order[pos, col], col]
-    hi = values[order[pos + 1, col], col]
-    thr = (lo + hi) / 2.0
-    if thr >= hi:  # midpoint rounded up to the right value
-        thr = lo
-    return gain, int(col), float(thr)
+    return gain, col, pos, order[col], int(ones_left[col, pos])
 
 
 def _dense_ranks(features: np.ndarray) -> np.ndarray:
@@ -300,57 +306,63 @@ def _grow_tree(
     seed: int,
 ) -> DecisionTree:
     """One tree, grown depth first.  ``features_t`` and ``ranks_t`` are
-    the ``(p, n)`` values and their dense ranks, one row per variable, so
-    a node gathers each drawn variable's rows from one contiguous row."""
+    the ``(p, n)`` values and their dense ranks, one row per variable.  A
+    node holds its bootstrap rows, gathers the drawn variables' ranks into
+    one ``(q, s)`` block and reads float values only at the two rows
+    around the chosen cut.  Its children are the two slices of the chosen
+    column's sorted rows, with their row and class-1 counts carried from
+    the split; row order within a node changes no bit, since no cut falls
+    inside a tie and the counts are exact integers.  A child that is a
+    leaf is never pushed: leaves draw no variables, so the rng stream is
+    that of a grower which pops them."""
     rng = np.random.default_rng(seed)
     p, n = features_t.shape
     boot = rng.integers(0, n, size=n)
     oob = np.flatnonzero(np.bincount(boot, minlength=n) == 0)
-    x = features_t[:, boot]
-    xr = ranks_t[:, boot]
-    y = targets[boot].astype(np.float64)
+    y = targets.astype(np.float64)
+    # a node of s rows slices its cuts' left row counts and their squares
+    # from counts[:2, 1:s], and the right ones from counts[2:, -s:-1]
+    up = np.arange(n + 1, dtype=np.float64)
+    counts = np.stack([up, up * up, up[::-1], (up * up)[::-1]])
 
     feat_l, thr_l, left_l, right_l = [], [], [], []
     n_l, c1_l, dec_l = [], [], []
+    stack = []
 
-    def new_node():
+    def new_node(rows, ones, depth):
         feat_l.append(-1)
         thr_l.append(0.0)
         left_l.append(-1)
         right_l.append(-1)
-        n_l.append(0)
-        c1_l.append(0)
+        n_l.append(rows.size)
+        c1_l.append(ones)
         dec_l.append(0.0)
-        return len(feat_l) - 1
+        node_id = len(feat_l) - 1
+        if rows.size > t_min and 0 < ones < rows.size:
+            stack.append((node_id, rows, ones, depth))
+        return node_id
 
     max_depth = 0
-    stack = [(new_node(), np.arange(n), 0)]
+    new_node(boot, int(y[boot].sum()), 0)
     while stack:
-        node_id, idx, depth = stack.pop()
-        max_depth = max(max_depth, depth)
-        s = idx.size
-        ones = int(y[idx].sum())
-        gini = _gini(ones, s)
-        n_l[node_id] = s
-        c1_l[node_id] = ones
-        if s <= t_min or ones == 0 or ones == s:
-            continue
+        node_id, rows, ones, depth = stack.pop()
         cols = rng.choice(p, size=q, replace=False)
-        values = x[cols].take(idx, axis=1).T
-        split = _best_split(xr[cols].take(idx, axis=1).T, values, y[idx], gini)
+        split = _best_split(ranks_t[cols].take(rows, axis=1), y[rows], ones, counts)
         if split is None:
             continue
-        gain, col, thr = split
-        go_left = values[:, col] <= thr
-        feat_l[node_id] = int(cols[col])
-        thr_l[node_id] = thr
+        gain, col, pos, order, ones_left = split
+        rows = rows[order]
+        feature = int(cols[col])
+        lo, hi = features_t[feature, rows[pos : pos + 2]]
+        thr = (lo + hi) / 2.0
+        if thr >= hi:  # midpoint rounded up to the right value
+            thr = lo
+        feat_l[node_id] = feature
+        thr_l[node_id] = float(thr)
         dec_l[node_id] = gain
-        left_id = new_node()
-        right_id = new_node()
-        left_l[node_id] = left_id
-        right_l[node_id] = right_id
-        stack.append((left_id, idx[go_left], depth + 1))
-        stack.append((right_id, idx[~go_left], depth + 1))
+        max_depth = max(max_depth, depth + 1)
+        left_l[node_id] = new_node(rows[: pos + 1], ones_left, depth + 1)
+        right_l[node_id] = new_node(rows[pos + 1 :], ones - ones_left, depth + 1)
 
     return DecisionTree(
         feature=np.array(feat_l, dtype=np.int32),
@@ -382,10 +394,13 @@ def train_forest(
     Per-tree seeds are derived deterministically from ``seed``, so the
     same call rebuilds bit-identical trees regardless of growth order.
 
-    Each variable's dense ranks are computed once per forest, and nodes
-    sort those integers instead of the floats (see :func:`_best_split`):
-    ``uint16`` ranks up to 65,536 rows, which numpy radix-sorts.  The
-    nodes, draws and tree arrays are the ones a float sort grows.
+    Each variable's dense ranks are computed once per forest: ``uint16``
+    up to 65,536 rows, which numpy radix-sorts.  A node sorts and scores
+    the ``(q, s)`` block of its drawn variables' ranks along its rows,
+    reads float values only at the two rows around the chosen cut, and
+    hands its children slices of that column's sorted rows with their
+    counts carried from the split (see :func:`_grow_tree`).  The nodes,
+    draws and tree arrays are the ones a float sort grows.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")

@@ -1,6 +1,10 @@
 """Explanation stage: dataset assembly, random forest, logistic RCDE."""
 
 import math
+import statistics
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,16 @@ from madkit.importance import (
     rcde,
     train_forest,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from calibrate import calibrate  # noqa: E402
+
+# train_forest's ceiling at the explain_window bench's size, over
+# calibration time (see test_forest_time_relative_to_calibration).  On a
+# 2-vCPU VM, 11 runs of the (q, s) rank-block grower read 3.01-3.70, and 11
+# of the grower before it, which worked on (s, q) blocks and gathered float
+# values at every node, read 4.78-6.09.
+FOREST_CALIBRATION_RATIO = 4.3
 
 
 def make_dataset(features, targets, names=None):
@@ -349,7 +363,7 @@ def assert_matches_reference(ds, n_trees=10, t_min=2, q_features=None, seed=0):
     return forest
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(10))
 def test_forest_matches_float_sort_reference(seed):
     assert_matches_reference(planted_dataset(seed=seed), seed=seed)
 
@@ -375,6 +389,48 @@ def test_forest_matches_reference_on_adjacent_doubles():
     )
     forest = assert_matches_reference(make_dataset(x, y), q_features=3)
     assert np.isin(forest.trees[0].threshold, lo).any()
+
+
+def test_forest_matches_reference_next_to_signed_zeros():
+    # column 0 cuts between -5e-324 and a zero of either sign: the midpoint
+    # rounds to -0.0, which equals the zero above it, so the threshold
+    # falls back to -5e-324; column 1 cuts between a signed zero and
+    # 5e-324, whose midpoint rounds to +0.0 and sends both zeros left
+    rng = np.random.default_rng(11)
+    y = rng.integers(0, 2, 400)
+    flip = (y[:, None] == 1) ^ (rng.random((400, 2)) < 0.1)
+    zeros = np.where(rng.random((400, 2)) < 0.5, -0.0, 0.0)
+    x = np.where(flip, zeros, [-5e-324, 5e-324])
+    forest = assert_matches_reference(make_dataset(x, y), q_features=2)
+    for j, want in enumerate([-5e-324, 0.0]):
+        thr = np.concatenate([t.threshold[t.feature == j] for t in forest.trees])
+        assert thr.size and (thr == want).all()
+        assert (np.signbit(thr) == np.signbit(want)).all()
+
+
+def test_forest_matches_reference_on_bootstrap_duplicates_grown_to_one_row():
+    # few rows and few levels: each bootstrap repeats rows, most cuts lie
+    # inside runs of ties, and t_min = 1 grows down to single rows
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, 4, (40, 5)).astype(np.float64)
+    y = (x[:, 0] + x[:, 1] + rng.integers(0, 3, 40) > 4).astype(int)
+    assert_matches_reference(make_dataset(x, y), n_trees=40, t_min=1, q_features=5)
+
+
+def test_forest_matches_reference_where_drawn_columns_are_all_tied():
+    # three row patterns with mixed classes: once a node holds one pattern,
+    # every column it draws is tied, so it stays a leaf although impure
+    rng = np.random.default_rng(13)
+    patterns = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 3.0], [1.0, 1.0, 2.0]])
+    x = patterns[rng.integers(0, 3, 300)]
+    y = rng.integers(0, 2, 300)
+    forest = assert_matches_reference(make_dataset(x, y), n_trees=10)
+    stuck = [
+        (t.feature < 0) & (t.n_node > forest.t_min)
+        & (t.count1 > 0) & (t.count1 < t.n_node)
+        for t in forest.trees
+    ]
+    assert all(s.any() for s in stuck)
 
 
 def test_forest_matches_reference_with_a_constant_column():
@@ -421,6 +477,30 @@ def test_dense_ranks_share_ties_and_switch_width_past_65536_rows():
         ranks = _dense_ranks(col)
         assert (ranks.dtype == np.uint16) == (n <= 1 << 16)
         assert np.array_equal(ranks[0], col[:, 0])  # distinct ints rank as themselves
+
+
+def test_forest_time_relative_to_calibration():
+    """100 trees on 2,200 x 38 rows, the explain_window bench's forest,
+    train in under ``FOREST_CALIBRATION_RATIO`` times the machine's
+    current calibration time: the faster of two forests over the median
+    of three ``perfbench/calibrate.py`` runs, one before and one after
+    each forest, so a drift in the machine's speed cancels."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2200, 38))
+    x[:300, [3, 17, 25]] += 2.5  # a shifted window, flagged ~11% of rows
+    score = x[:, [3, 17, 25]].sum(axis=1) + rng.standard_normal(2200)
+    ds = make_dataset(x, (score > np.quantile(score, 0.89)).astype(int))
+    calibrations, forests = [calibrate()], []
+    for _ in range(2):
+        t0 = time.perf_counter()
+        forest = train_forest(ds, n_trees=100, seed=0)
+        forests.append(time.perf_counter() - t0)
+        calibrations.append(calibrate())
+    assert sum(t.feature.size for t in forest.trees) == 10_632
+    ratio = min(forests) / statistics.median(calibrations)
+    detail = f"forest {min(forests):.2f}s, {ratio:.2f}x calibration"
+    assert ratio < FOREST_CALIBRATION_RATIO, detail
+    print(detail)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """End-to-end pipeline runs, reports, and the command-line interface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from madkit.cli import _build_parser, _merge_config, _pipeline_config, main
 from madkit.data import (
+    ModelFormatError,
     _read_labels_rows,
     load_csv,
     load_model,
@@ -564,23 +566,9 @@ def test_cli_score_rejects_bad_variable_index(tmp_path, capsys, bad_index):
     assert err.startswith("error [ingest]") and "once each" in err
 
 
-@pytest.mark.parametrize(
-    "key, row, cell, value",
-    [
-        ("mu", 0, 0, "nan"),
-        ("sigma_rows", 1, 0, "nan"),  # the first sigma row
-        ("k", 0, 0, "inf"),
-        ("gpd", 0, 0, "nan"),  # gamma
-        ("gpd", 0, 1, "nan"),  # delta
-        ("gpd", 0, 2, "nan"),  # l
-        ("gpd", 0, 5, "nan"),  # loglik
-    ],
-    ids=["mu", "sigma", "k", "gamma", "delta", "l", "loglik"],
-)
-def test_cli_score_rejects_non_finite_model_field(
-    tmp_path, capsys, key, row, cell, value
-):
-    # a nan mu once scored every point as nan and flagged none, exit 0
+def score_with_edited_model(tmp_path, capsys, key, row, cell, value):
+    """Fit a POT model, set one cell of the line ``row`` lines below the
+    ``key`` field to ``value``, and score with it: (exit code, stderr)."""
     train_csv, test_csv, _ = write_corpus(tmp_path, seed=9)
     model_path = tmp_path / "model.txt"
     fit = ["fit", "--train", str(train_csv), "--threshold", "pot"]
@@ -594,9 +582,68 @@ def test_cli_score_rejects_non_finite_model_field(
     model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     code = main(["score", "--model", str(model_path), "--data", str(test_csv)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, row, cell, value",
+    [
+        ("mu", 0, 0, "nan"),
+        ("sigma_rows", 1, 0, "nan"),  # the first sigma row
+        ("k", 0, 0, "inf"),
+        ("gpd", 0, 0, "nan"),  # gamma
+        ("gpd", 0, 1, "nan"),  # delta
+        ("gpd", 0, 2, "nan"),  # l
+        ("gpd", 0, 5, "nan"),  # loglik
+        ("vif_trace", 0, 1, "nan"),  # the VIF of the one removed variable
+    ],
+    ids=["mu", "sigma", "k", "gamma", "delta", "l", "loglik", "vif"],
+)
+def test_cli_score_rejects_non_finite_model_field(
+    tmp_path, capsys, key, row, cell, value
+):
+    # a nan mu once scored every point as nan and flagged none, exit 0
+    code, err = score_with_edited_model(tmp_path, capsys, key, row, cell, value)
     assert code == EXIT_CODES["ingest"] == 10
-    err = capsys.readouterr().err
     assert err.startswith("error [ingest]") and "finite" in err
+
+
+def test_model_vif_may_be_inf_but_not_nan(tmp_path):
+    train_csv, _, _ = write_corpus(tmp_path, seed=9)
+    model_path = tmp_path / "model.txt"
+    assert main(["fit", "--train", str(train_csv), "--out", str(model_path)]) == 0
+    model = load_model(model_path)
+    (index, _), = model.vif_trace
+    text = model_path.read_text(encoding="utf-8")
+    line = next(ln for ln in text.splitlines() if ln.startswith("vif_trace:"))
+
+    def load_with_vif(vif):
+        edited = text.replace(line, f"vif_trace: {index},{vif}")
+        model_path.write_text(edited, encoding="utf-8")
+        return load_model(model_path)
+
+    # inf marks exact collinearity; nan is no VIF at all
+    assert load_with_vif("inf").vif_trace == [(index, math.inf)]
+    with pytest.raises(ModelFormatError, match="invalid model contents: VIFs"):
+        load_with_vif("nan")
+
+
+@pytest.mark.parametrize(
+    "key, cell, value, wording",
+    [
+        ("gpd", 1, "-1", "invalid model contents: delta must be positive"),
+        ("mu", 0, "x", "corrupted model file: could not convert"),
+    ],
+    ids=["domain", "syntax"],
+)
+def test_cli_score_words_model_faults_by_kind(
+    tmp_path, capsys, key, cell, value, wording
+):
+    # a value outside its domain is invalid content, whichever field holds
+    # it; only text that does not parse is a corrupted file
+    code, err = score_with_edited_model(tmp_path, capsys, key, 0, cell, value)
+    assert code == EXIT_CODES["ingest"]
+    assert err.startswith("error [ingest]") and wording in err
 
 
 def test_cli_rejects_wrong_inputs_loudly(tmp_path, capsys):
