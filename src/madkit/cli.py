@@ -289,37 +289,41 @@ _CLUSTERS_SPLICE = '"clusters": "\\u0000"'
 _CLUSTER_RECORD = (
     '    {\n      "start": %d,\n      "end": %d,\n      "length": %d\n    }'
 )
+# cluster records _emit renders at once
+_CLUSTER_BLOCK = 1 << 14
 
 
 def _emit(payload: dict | list, out: str | None) -> None:
-    """Write ``payload`` as ``json.dumps(payload, indent=2)`` and a newline.
-
-    A ``clusters`` member holding :class:`ClusterColumns` is written as the
-    list of its ``{"start", "end", "length"}`` records: the rest of the
-    payload is dumped with a placeholder there, and the records are
-    rendered from the columns and spliced in, in the same bytes.
-    """
-    clusters = payload.get("clusters") if isinstance(payload, dict) else None
-    if isinstance(clusters, ClusterColumns):
-        text = json.dumps({**payload, "clusters": "\0"}, indent=2)
-        records = '"clusters": ' + _cluster_list(clusters)
-        text = text.replace(_CLUSTERS_SPLICE, records, 1) + "\n"
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
+    """Write ``payload`` as ``json.dumps(payload, indent=2)`` and a newline
+    to the file ``out``, or to stdout, piece by piece (:func:`_json_pieces`)."""
+    pieces = _json_pieces(payload)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
-def _cluster_list(clusters: ClusterColumns) -> str:
-    """``json.dumps(records, indent=2)`` of the cluster records, indented one
-    level deeper, as in a top-level member of a dict."""
-    if not clusters:
-        return "[]"
-    table = np.column_stack((clusters.starts, clusters.ends, clusters.lengths))
-    records = ",\n".join([_CLUSTER_RECORD] * len(clusters))
-    return "[\n" + records % tuple(table.ravel().tolist()) + "\n  ]"
+def _json_pieces(payload: dict | list):
+    """``json.dumps(payload, indent=2) + "\\n"`` in pieces.  A ``clusters``
+    member holding :class:`ClusterColumns` is dumped as a placeholder, and
+    the list of its ``{"start", "end", "length"}`` records is rendered in
+    its place from the columns, ``_CLUSTER_BLOCK`` records at a time."""
+    clusters = payload.get("clusters") if isinstance(payload, dict) else None
+    if not isinstance(clusters, ClusterColumns):
+        yield json.dumps(payload, indent=2) + "\n"
+        return
+    text = json.dumps({**payload, "clusters": "\0"}, indent=2)
+    head, tail = text.split(_CLUSTERS_SPLICE, 1)
+    yield head + '"clusters": ['
+    sep = "\n"
+    for i in range(0, len(clusters), _CLUSTER_BLOCK):
+        block = clusters[i : i + _CLUSTER_BLOCK]
+        table = np.column_stack((block.starts, block.ends, block.lengths))
+        records = ",\n".join([_CLUSTER_RECORD] * len(block))
+        yield sep + records % tuple(table.ravel().tolist())
+        sep = ",\n"
+    yield ("\n  ]" if clusters else "]") + tail + "\n"
 
 
 def _write_scores_csv(fh, result) -> None:

@@ -371,57 +371,89 @@ def load_csv(
     return matrix, labels
 
 
+# bytes of a label file's body that load_labels scans at once
+_LABEL_BLOCK = 1 << 18
+
+
 def load_labels(path, column: str) -> np.ndarray:
     """Read the 0/1 column ``column`` of a header-bearing CSV as int8.
 
     The header, row widths and label cells get :func:`load_csv`'s checks
     and messages; the other columns are not parsed.
 
-    A well-formed file is read in bulk from its bytes: the header through
-    the ``csv`` module, the body by locating newlines and commas with numpy
-    (:func:`_read_labels_bulk`).  Any other file (a ragged row, a label
-    cell other than ``0``/``1``, no data rows, a quote, carriage return or
-    NUL byte, invalid UTF-8, a line over ``csv.field_size_limit()``) goes
-    to the row-by-row reader, :func:`_read_labels_rows`, which raises the
-    error with the file's own line number.
+    A well-formed file is scanned by :func:`_read_labels_bulk` in blocks
+    of whole lines, so that beside the labels it holds one block of about
+    ``_LABEL_BLOCK`` bytes and the line that ends it.  Any other file (a
+    bad header, a ragged row, a label cell other than ``0``/``1``, no data
+    rows, a quote, carriage return or NUL byte, invalid UTF-8, a line over
+    ``csv.field_size_limit()``) goes to the row-by-row reader,
+    :func:`_read_labels_rows`, which raises the error with the file's own
+    line number.
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        raw = fh.read()
-    labels = _read_labels_bulk(raw, column, path)
+        labels = _read_labels_bulk(fh, column, path)
     return labels if labels is not None else _read_labels_rows(path, column)
 
 
-def _read_labels_bulk(raw: bytes, column: str, path) -> np.ndarray | None:
-    """The labels in file contents ``raw``, or ``None`` unless every
-    non-blank body line has the header's field count, every label cell is
-    the one byte ``0`` or ``1``, there is at least one, and the csv module
-    would split each line at its commas alone (a non-empty file with no
-    quote, ``\r`` or NUL byte, valid UTF-8, no line over the field size
-    limit).  The csv module reads those files to the same labels.  A bad
-    header raises here, with :func:`load_csv`'s message."""
-    if not raw or b'"' in raw or b"\r" in raw or b"\0" in raw:
+def _read_labels_bulk(fh, column: str, path) -> np.ndarray | None:
+    """The labels in binary file ``fh``, or ``None`` unless the header is
+    good, every non-blank body line has the header's field count, every
+    label cell is the one byte ``0`` or ``1``, there is at least one, and
+    the csv module would split each line at its commas alone (no quote,
+    ``\\r`` or NUL byte, valid UTF-8, no line over the field size limit).
+    The csv module reads those files to the same labels.  The body is read
+    ``_LABEL_BLOCK`` bytes at a time, completed to the end of a line, and
+    checked block by block (exact, as no UTF-8 sequence holds a ``\\n``)."""
+    limit = csv.field_size_limit()
+    line = fh.readline(limit + 1).rstrip(b"\n")
+    if len(line) > limit or not _plain_text(line):
         return None
+    try:
+        header = _read_header(csv.reader([line.decode("utf-8")]), path)
+        ci = _column_index(header, column, path)
+    except CsvFormatError:
+        return None  # the row reader raises it, or meets a fault first
+    labels = bytearray()
+    while block := fh.read(_LABEL_BLOCK):
+        # a line cut off after limit + 1 bytes fails the length check
+        block += fh.readline(limit + 1)
+        cells = _label_cells(block, len(header), ci, limit)
+        if cells is None:
+            return None
+        labels += cells.tobytes()
+    return np.frombuffer(labels, dtype=np.int8) if labels else None
+
+
+def _plain_text(raw: bytes) -> bool:
+    """Whether ``raw`` is UTF-8 with no quote, ``\\r`` or NUL byte."""
+    if b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return False
     if not raw.isascii():
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError:
-            return None
+            return False
+    return True
+
+
+def _label_cells(raw: bytes, width: int, ci: int, limit: int):
+    """``label == 1`` for each non-blank line of ``raw``, whole lines of a
+    file body, or ``None`` unless all pass :func:`_read_labels_bulk`'s checks."""
+    if not _plain_text(raw):
+        return None
     buf = np.frombuffer(raw, dtype=np.uint8)
     newlines = np.flatnonzero(buf == ord("\n"))
     starts = np.concatenate(([0], newlines + 1))
     ends = np.append(newlines, buf.size)
-    if (ends - starts).max() > csv.field_size_limit():
+    if (ends - starts).max() > limit:
         return None
-    header = _read_header(csv.reader([raw[: ends[0]].decode("utf-8")]), path)
-    ci = _column_index(header, column, path)
-    width = len(header)
-    body = ends[1:] > starts[1:]  # blank lines are skipped
-    starts, ends = starts[1:][body], ends[1:][body]
-    # the header holds the first width - 1 commas; row r must hold the
-    # r-th block of width - 1 after them, and then it holds no others
-    commas = np.flatnonzero(buf == ord(","))[width - 1 :]
-    if starts.size == 0 or commas.size != starts.size * (width - 1):
+    body = ends > starts  # blank lines are skipped
+    starts, ends = starts[body], ends[body]
+    # row r must hold the r-th block of width - 1 commas, and then it
+    # holds no others
+    commas = np.flatnonzero(buf == ord(","))
+    if commas.size != starts.size * (width - 1):
         return None
     commas = commas.reshape(starts.size, width - 1)
     if width > 1 and (
@@ -430,12 +462,12 @@ def _read_labels_bulk(raw: bytes, column: str, path) -> np.ndarray | None:
         return None
     cell_starts = commas[:, ci - 1] + 1 if ci > 0 else starts
     cell_ends = commas[:, ci] if ci < width - 1 else ends
-    cells = buf[cell_starts]
+    cells = buf[cell_ends - 1]  # in range also where a cell is empty
     if (cell_ends - cell_starts != 1).any() or (
         (cells != ord("0")) & (cells != ord("1"))
     ).any():
         return None
-    return (cells == ord("1")).view(np.int8)
+    return cells == ord("1")
 
 
 def _read_labels_rows(path, column: str) -> np.ndarray:

@@ -85,10 +85,10 @@ def confusion(pred, truth) -> ConfusionCounts:
     t = as_labels(truth, "truth")
     if p.shape != t.shape:
         raise ValueError(f"length mismatch: pred {p.size}, truth {t.size}")
-    counts = np.bincount(2 * t.astype(np.int64) + p, minlength=4)
-    return ConfusionCounts(
-        tp=int(counts[3]), fp=int(counts[1]), tn=int(counts[0]), fn=int(counts[2])
-    )
+    tp = int(np.count_nonzero(p & t))
+    fp = int(np.count_nonzero(p)) - tp
+    fn = int(np.count_nonzero(t)) - tp
+    return ConfusionCounts(tp=tp, fp=fp, tn=p.size - tp - fp - fn, fn=fn)
 
 
 def precision(c: ConfusionCounts) -> float:
@@ -123,7 +123,8 @@ def extract_clusters(truth, min_length: int = 1) -> ClusterColumns:
     if min_length < 1:
         raise ValueError("min_length must be at least 1")
     t = as_labels(truth, "truth")
-    padded = np.concatenate(([0], t, [0]))
+    padded = np.zeros(t.size + 2, dtype=np.int8)
+    padded[1:-1] = t
     edges = np.diff(padded)
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
@@ -145,6 +146,8 @@ def ric(pred, clusters: ClusterColumns) -> float:
         raise ValueError("prediction vector does not cover the clusters")
     # cs[i] counts the positives in p[:i], so a cluster is hit when
     # cs[end + 1] - cs[start] > 0
-    cs = np.concatenate(([0], np.cumsum(p, dtype=np.int64)))
+    cs = np.zeros(p.size + 1, dtype=np.int64)
+    cs[1:] = p
+    np.cumsum(cs[1:], out=cs[1:])  # in place: a cast from int8 would copy
     hit = int(np.count_nonzero(cs[ends + 1] - cs[starts] > 0))
     return hit / len(clusters)

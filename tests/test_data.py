@@ -1,10 +1,13 @@
 """Container validation and file round trips."""
 
 import csv
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from madkit import data as data_module
 from madkit.data import (
     CsvFormatError,
     DetectorModel,
@@ -445,6 +448,7 @@ LABEL_EDGE_FILES = {
     "line_at_limit": (
         b"a,flag\n" + b"x" * (_FIELD_LIMIT - 2) + b",1\n", True
     ),
+    "empty_label_at_end": (b"a,flag\n1,0\n1,", False),
 }
 
 
@@ -483,23 +487,39 @@ def _read_outcome(read, path):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("case", sorted(LABEL_EDGE_FILES))
-def test_load_labels_bulk_matches_row_reader(tmp_path, case):
+def _check_edge_file(tmp_path, case):
     data, bulk = LABEL_EDGE_FILES[case]
     path = tmp_path / "labels.csv"
     path.write_bytes(data)
     want = _read_outcome(_read_labels_rows, path)
     assert _read_outcome(load_labels, path) == want
-    try:
-        taken = _read_labels_bulk(data, "flag", path) is not None
-    except CsvFormatError:
-        taken = False  # a bad header, raised with the row reader's message
+    # a bad header too is declined, for the row reader to raise
+    taken = _read_labels_bulk(io.BytesIO(data), "flag", path) is not None
     assert taken == bulk
     if bulk:
         assert load_labels(path, "flag").dtype == np.int8
 
 
-def test_load_labels_bulk_matches_row_reader_on_random_files(tmp_path):
+@pytest.mark.parametrize("case", sorted(LABEL_EDGE_FILES))
+def test_load_labels_bulk_matches_row_reader(tmp_path, case):
+    _check_edge_file(tmp_path, case)
+
+
+# body blocks so small that lines, the line_at_limit case and multi-byte
+# UTF-8 cells straddle them
+SMALL_LABEL_BLOCKS = (1, 7, 64)
+
+
+@pytest.mark.parametrize("block", SMALL_LABEL_BLOCKS)
+@pytest.mark.parametrize("case", sorted(LABEL_EDGE_FILES))
+def test_load_labels_bulk_matches_row_reader_across_blocks(
+    tmp_path, monkeypatch, case, block
+):
+    monkeypatch.setattr(data_module, "_LABEL_BLOCK", block)
+    _check_edge_file(tmp_path, case)
+
+
+def _check_random_files(tmp_path):
     rng = np.random.default_rng(20)
     quirks = [b"", b" 0", b"00", b"2", b'"1"', b"1\x00", b"\xff"]
     taken = declined = 0
@@ -533,14 +553,45 @@ def test_load_labels_bulk_matches_row_reader_on_random_files(tmp_path):
         path.write_bytes(data)
         want = _read_outcome(_read_labels_rows, path)
         assert _read_outcome(load_labels, path) == want, data
-        try:
-            accepted = _read_labels_bulk(data, "flag", path) is not None
-        except CsvFormatError:
-            accepted = False
+        accepted = _read_labels_bulk(io.BytesIO(data), "flag", path) is not None
         taken += accepted
         declined += not accepted
     # both paths ran on a good share of the files
     assert taken > 100 and declined > 50, (taken, declined)
+
+
+def test_load_labels_bulk_matches_row_reader_on_random_files(tmp_path):
+    _check_random_files(tmp_path)
+
+
+@pytest.mark.parametrize("block", SMALL_LABEL_BLOCKS)
+def test_load_labels_bulk_matches_row_reader_on_random_files_across_blocks(
+    tmp_path, monkeypatch, block
+):
+    monkeypatch.setattr(data_module, "_LABEL_BLOCK", block)
+    _check_random_files(tmp_path)
+
+
+def test_load_labels_memory_stays_near_the_output_size(tmp_path):
+    # the whole file and per-byte masks of it would take tens of bytes per
+    # label; one body block at a time takes a fixed amount beside them
+    n = 200_000
+    rng = np.random.default_rng(9)
+    rows = zip(rng.gamma(2.0, 1.0, n).tolist(), rng.integers(0, 2, n).tolist())
+    path = tmp_path / "pred.csv"
+    path.write_text(
+        "timestamp,score,flag\n"
+        + "".join(f"{i},{s:.17g},{f}\n" for i, (s, f) in enumerate(rows)),
+        encoding="utf-8",
+    )
+    tracemalloc.start()
+    try:
+        labels = load_labels(path, "flag")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels.size == n
+    assert peak < 2 * labels.nbytes + 8 * data_module._LABEL_BLOCK, peak
 
 
 def test_csv_reals_keep_every_bit(tmp_path):

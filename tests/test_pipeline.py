@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from madkit import cli as cli_module
 from madkit.cli import _build_parser, _merge_config, _pipeline_config, main
 from madkit.data import (
     ModelFormatError,
@@ -14,6 +16,7 @@ from madkit.data import (
     load_model,
     save_csv,
 )
+from madkit.metrics import ClusterColumns
 from madkit.pipeline import (
     EXIT_CODES,
     STEP_ORDER,
@@ -494,8 +497,10 @@ EVALUATE_JSON_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(EVALUATE_JSON_CASES))
-def test_cli_evaluate_json_matches_json_dumps(tmp_path, case):
+def _evaluate_json(tmp_path, case, capsys=None):
+    """The bytes ``madkit evaluate`` writes on ``EVALUATE_JSON_CASES[case]``
+    (to stdout when ``capsys`` is given, else to ``--out``) and the oracle's:
+    the row reader, and json.dumps of the cluster records."""
     pred, truth, argv = EVALUATE_JSON_CASES[case]
     h = int(argv[1]) if argv[:1] == ["--smooth-window"] else 1
     min_len = int(argv[1]) if argv[:1] == ["--min-cluster-len"] else 1
@@ -510,12 +515,13 @@ def test_cli_evaluate_json_matches_json_dumps(tmp_path, case):
         "label\n" + "".join(f"{v}\n" for v in truth), encoding="utf-8"
     )
     out = tmp_path / "eval.json"
+    to = [] if capsys else ["--out", str(out)]
     assert main([
         "evaluate", "--pred", str(pred_csv), "--truth", str(truth_csv),
-        "--out", str(out), *argv,
+        *to, *argv,
     ]) == 0
+    got = capsys.readouterr().out.encode() if capsys else out.read_bytes()
 
-    # oracle: the row reader, and json.dumps of the cluster records
     block = run_evaluate(
         _read_labels_rows(pred_csv, "flag"),
         align_labels(_read_labels_rows(truth_csv, "label"), h),
@@ -525,8 +531,65 @@ def test_cli_evaluate_json_matches_json_dumps(tmp_path, case):
         {"start": c.start, "end": c.end, "length": c.length}
         for c in block["clusters"]
     ]
-    assert out.read_bytes() == (json.dumps(block, indent=2) + "\n").encode()
     assert (block["ric"] is None) == (block["clusters"] == [])
+    return got, (json.dumps(block, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATE_JSON_CASES))
+def test_cli_evaluate_json_matches_json_dumps(tmp_path, case):
+    got, want = _evaluate_json(tmp_path, case)
+    assert got == want
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("case", sorted(EVALUATE_JSON_CASES))
+def test_cli_evaluate_json_matches_json_dumps_across_blocks(
+    tmp_path, monkeypatch, case, block
+):
+    # records straddle the blocks _emit renders them in
+    monkeypatch.setattr(cli_module, "_CLUSTER_BLOCK", block)
+    got, want = _evaluate_json(tmp_path, case)
+    assert got == want
+
+
+@pytest.mark.parametrize("case", ["fragmented", "no_clusters"])
+def test_cli_evaluate_json_to_stdout_matches_json_dumps(tmp_path, capsys, case):
+    got, want = _evaluate_json(tmp_path, case, capsys)
+    assert got == want
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_run_evaluate_memory_stays_near_the_output_size():
+    # one int64 prefix sum per label for ric, and the cluster columns;
+    # no int64 copy of the labels beyond that
+    pred, truth = fragmented_labels(1_000_000, 5)
+    block, peak = _traced_peak(run_evaluate, pred, truth)
+    clusters = block["clusters"]
+    columns = clusters.starts.nbytes + clusters.ends.nbytes
+    assert len(clusters) > 150_000
+    assert peak < 8 * truth.size + 3 * columns, peak
+
+
+def test_emit_memory_stays_within_a_block_of_records(tmp_path):
+    # the report is about 75 bytes per record; rendering one block at a
+    # time holds a few hundred bytes per record of one block, not of all
+    n = 200_000
+    starts = np.arange(n, dtype=np.int64) * 5
+    payload = {"n": n, "clusters": ClusterColumns(starts, starts + 1)}
+    out = tmp_path / "report.json"
+    _, peak = _traced_peak(cli_module._emit, payload, str(out))
+    assert out.stat().st_size > 70 * n
+    assert peak < 400 * cli_module._CLUSTER_BLOCK, peak
 
 
 def test_cli_score_rejects_reordered_columns(tmp_path, capsys):
