@@ -145,8 +145,8 @@ def ric(pred, clusters: ClusterColumns) -> float:
     if ends.max() >= p.size:
         raise ValueError("prediction vector does not cover the clusters")
     # cs[i] counts the positives in p[:i], so a cluster is hit when
-    # cs[end + 1] - cs[start] > 0
-    cs = np.zeros(p.size + 1, dtype=np.int64)
+    # cs[end + 1] - cs[start] > 0; int32 holds any count below 2**31
+    cs = np.zeros(p.size + 1, dtype=np.int32 if p.size < 2**31 else np.int64)
     cs[1:] = p
     np.cumsum(cs[1:], out=cs[1:])  # in place: a cast from int8 would copy
     hit = int(np.count_nonzero(cs[ends + 1] - cs[starts] > 0))

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .data import THRESHOLD_KINDS, GpdParameters
 
@@ -29,9 +28,19 @@ MIN_EXCEEDANCES = 30
 # |gamma| below this uses the exponential limit of the GPD formulas
 _GAMMA_ZERO = 1e-6
 
+# The profile likelihood is evaluated at this many points toward each of the
+# four ends of phi's two sides, the nearest a fraction _END_GAP of the
+# side's width from its end (and at most _END_GAP from phi = 0),
+# in blocks of at most _GRID_CELLS products theta * y.  Golden-section steps
+# then shrink the best point's bracket by 0.618 each, to about 1e-13 of it.
+_POINTS_PER_END = 88
+_END_GAP = 1e-10
+_GRID_CELLS = 1 << 20
+_GOLDEN_STEPS = 60
+
 
 class GpdFitError(RuntimeError):
-    """Tail fitting failed: too few peaks, no convergence, or bad support."""
+    """Tail fitting failed: too few or degenerate peaks, or bad support."""
 
 
 @dataclass(frozen=True)
@@ -83,13 +92,57 @@ def gpd_loglik(exceedances: np.ndarray, gamma: float, delta: float) -> float:
     return -n * math.log(delta) - (1.0 + 1.0 / gamma) * float(np.log1p(z).sum())
 
 
-def _moment_start(y: np.ndarray) -> tuple[float, float]:
-    mean = float(y.mean())
-    var = float(y.var())
-    if var <= 0.0:
-        raise GpdFitError("exceedances are degenerate (zero variance)")
-    ratio = mean * mean / var
-    return 0.5 * (1.0 - ratio), 0.5 * mean * (ratio + 1.0)
+def _profile(y: np.ndarray, phi: np.ndarray):
+    """Grimshaw's profile of the GPD likelihood in ``phi = max(y) gamma /
+    delta``, which makes it scale-free.
+
+    At fixed ``phi`` the likelihood peaks at ``gamma = mean(log1p(phi y /
+    max y))`` and ``delta = max(y) gamma / phi``; returns those two arrays
+    and the log-likelihood there plus ``n log max(y)``, that is ``-n (log(
+    gamma / phi) + gamma + 1)``.  ``phi = 0`` is the exponential limit,
+    ``delta = mean(y)``.  Below ``gamma = -1`` the likelihood grows without
+    bound toward ``phi = -1`` (Smith 1985, *Biometrika* 72:67), so no
+    maximum lies there: the profile is ``-inf`` at such points.
+    """
+    y_max = y.max()
+    theta = phi / y_max
+    rows = max(1, _GRID_CELLS // y.size)
+    gamma = np.concatenate([
+        np.log1p(np.multiply.outer(theta[i : i + rows], y)).mean(axis=1)
+        for i in range(0, phi.size, rows)
+    ])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(phi == 0.0, y.mean() / y_max, gamma / phi)
+    loglik = -y.size * (np.log(scale) + gamma + 1.0)
+    return gamma, scale * y_max, np.where(gamma < -1.0, -np.inf, loglik)
+
+
+def _side(lo: float, hi: float, gap_lo: float) -> np.ndarray:
+    """Grid over ``(lo, hi)``, geometric toward both ends: the point nearest
+    ``lo`` is ``gap_lo`` of the width from it, the one nearest ``hi``
+    ``_END_GAP``."""
+    width = hi - lo
+    return np.concatenate([
+        lo + width * np.geomspace(gap_lo, 0.5, _POINTS_PER_END),
+        hi - width * np.geomspace(0.5, _END_GAP, _POINTS_PER_END)[1:],
+    ])
+
+
+def _golden_max(f, a: float, b: float) -> float:
+    """Golden-section search for the maximum of ``f`` on ``[a, b]``."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(_GOLDEN_STEPS):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = f(d)
+    return c if fc >= fd else d
 
 
 def fit_gpd(
@@ -97,17 +150,24 @@ def fit_gpd(
 ) -> GpdParameters:
     """Maximum-likelihood GPD fit to positive exceedances.
 
-    The likelihood is maximized over ``(gamma, log delta)`` by Nelder-Mead
-    from a method-of-moments start; the exponential profile (``gamma = 0``,
-    ``delta`` = mean exceedance) is always kept as a candidate and the best
-    feasible optimum wins.  ``l`` and ``t_total`` are carried through into
-    the returned record for quantile extrapolation.
+    The likelihood is maximized through Grimshaw's reduction to one
+    parameter, ``theta = gamma / delta`` (Grimshaw 1993, *Technometrics*
+    35:185; SPOT, Siffer et al., KDD 2017): see :func:`_profile`.  Any
+    stationary point has ``theta`` in ``(-1 / max y, 0)`` or in ``(0, 2
+    (mean y - min y) / min y ** 2)``.  The profile is evaluated on a grid
+    over both sides and 0, and the best point is refined between its
+    neighbours by golden section.  Where the likelihood has no maximum above
+    ``gamma = -1`` (a few very short-tailed samples of few peaks), the fit
+    stops at ``gamma = -1``.  The exponential fit (``gamma = 0``, ``delta``
+    = mean exceedance) is always kept as a candidate and the best feasible
+    one wins.  ``l`` and ``t_total`` are carried through into the returned
+    record for quantile extrapolation.
 
     Raises
     ------
     GpdFitError
-        With fewer than ``MIN_EXCEEDANCES`` peaks, if the optimizer fails,
-        or if no candidate satisfies the support constraint.
+        With fewer than ``MIN_EXCEEDANCES`` peaks, if they have no
+        variance, or if no candidate satisfies the support constraint.
     """
     y = np.asarray(exceedances, dtype=np.float64)
     if y.ndim != 1:
@@ -124,36 +184,27 @@ def fit_gpd(
     if t_total < t_l:
         raise ValueError("t_total cannot be smaller than the peak count")
 
-    mean = float(y.mean())
-    gamma0, delta0 = _moment_start(y)
-    exp_candidate = (0.0, mean)  # exact MLE on the gamma = 0 axis
+    y_min, y_max, mean = float(y.min()), float(y.max()), float(y.mean())
+    if y_min == y_max:
+        raise GpdFitError("exceedances are degenerate (zero variance)")
+    # phi = theta max(y) lies in (-1, 0) or in (0, upper)
+    upper = 2.0 * (mean / y_min - 1.0) * (y_max / y_min)
+    grid = np.concatenate([
+        _side(-1.0, 0.0, _END_GAP),
+        [0.0],
+        _side(0.0, upper, _END_GAP / max(upper, 1.0)),
+    ])
+    _, _, loglik = _profile(y, grid)
+    best = int(np.argmax(loglik))
+    phi = _golden_max(
+        lambda p: float(_profile(y, np.array([p]))[2][0]),
+        float(grid[max(best - 1, 0)]),
+        float(grid[min(best + 1, grid.size - 1)]),
+    )
+    gamma, delta, _ = _profile(y, np.array([grid[best], phi]))
+    candidates = [(0.0, mean), *zip(gamma.tolist(), delta.tolist())]
 
-    def negloglik(params):
-        g, log_d = params
-        ll = gpd_loglik(y, g, math.exp(log_d))
-        return -ll if math.isfinite(ll) else math.inf
-
-    starts = [exp_candidate]
-    if math.isfinite(gpd_loglik(y, gamma0, delta0)):
-        starts.insert(0, (gamma0, delta0))
-
-    candidates = [exp_candidate]
-    converged = False
-    for g0, d0 in starts:
-        res = optimize.minimize(
-            negloglik,
-            x0=np.array([g0, math.log(d0)]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000, "maxfev": 4000},
-        )
-        if res.success and math.isfinite(res.fun):
-            converged = True
-            candidates.append((float(res.x[0]), math.exp(float(res.x[1]))))
-    if not converged:
-        raise GpdFitError("likelihood optimization did not converge")
-
-    best = max(candidates, key=lambda c: gpd_loglik(y, *c))
-    gamma, delta = best
+    gamma, delta = max(candidates, key=lambda c: gpd_loglik(y, *c))
     loglik = gpd_loglik(y, gamma, delta)
     if not math.isfinite(loglik):
         raise GpdFitError("fitted parameters violate the support constraint")
@@ -207,8 +258,8 @@ def chi2_threshold(m: int, alpha: float = 0.01) -> float:
     """Square root of the chi-square ``1 - alpha`` quantile with ``m``
     degrees of freedom.
 
-    ``scipy.stats`` is imported on first use: with ``scipy.signal``, it
-    nearly doubled the import time of ``madkit.cli`` for every command.
+    ``scipy.stats`` is imported on first use, so that only this rule pays
+    for scipy at start-up; every other threshold runs on numpy alone.
     ``chi2.ppf`` is kept over ``scipy.special.chdtri``, which differs by
     up to about 80 ulp.
     """

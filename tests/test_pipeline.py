@@ -570,14 +570,14 @@ def _traced_peak(fn, *args):
 
 
 def test_run_evaluate_memory_stays_near_the_output_size():
-    # one int64 prefix sum per label for ric, and the cluster columns;
+    # one int32 prefix sum per label for ric, and the cluster columns;
     # no int64 copy of the labels beyond that
     pred, truth = fragmented_labels(1_000_000, 5)
     block, peak = _traced_peak(run_evaluate, pred, truth)
     clusters = block["clusters"]
     columns = clusters.starts.nbytes + clusters.ends.nbytes
     assert len(clusters) > 150_000
-    assert peak < 8 * truth.size + 3 * columns, peak
+    assert peak < 4 * truth.size + 3 * columns, peak
 
 
 def test_emit_memory_stays_within_a_block_of_records(tmp_path):

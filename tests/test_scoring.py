@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from madkit.collinearity import center
 from madkit.scoring import (
     EigenBasis,
     ScatterFit,
     SingularCovarianceError,
+    _SOLVE_COLUMNS,
+    _forward_solve,
     eigen_basis,
     fit_scatter,
     score,
@@ -57,6 +60,27 @@ def test_score_all_matches_single_scores():
     for t in range(30):
         one = score(fit, data[:, t])
         assert abs(all_scores[t] - one) <= 1e-12 * max(one, 1.0)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_forward_solve_matches_solve_triangular(order):
+    # the LAPACK solve that scoring used before is the oracle; the block
+    # runs past one block of solved columns
+    rng = np.random.default_rng(11)
+    for m in range(1, 41):
+        a = rng.standard_normal((m, 3 * m + 5))
+        fit = fit_scatter(a - a.mean(axis=1, keepdims=True))
+        shape = (m, _SOLVE_COLUMNS + 7)
+        block = np.asarray(5.0 * rng.standard_normal(shape), order=order)
+        want = solve_triangular(fit.chol, block, lower=True)
+        got = _forward_solve(fit.chol, block)
+        norms = np.linalg.norm(want, axis=0)
+        assert np.all(np.abs(got - want).max(axis=0) <= 1e-13 * norms), m
+        scores = score_all(fit, block)
+        assert np.all(np.abs(scores - norms) <= 1e-13 * norms), m
+        x = block[:, 0]
+        one = np.linalg.norm(solve_triangular(fit.chol, x, lower=True))
+        assert abs(score(fit, x) - one) <= 1e-13 * one, m
 
 
 def test_fit_scatter_population_normalization():

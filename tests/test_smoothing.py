@@ -7,7 +7,13 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from madkit.data import SeriesMatrix
-from madkit.smoothing import SmoothConfig, align_labels, smooth_matrix, smooth_series
+from madkit.smoothing import (
+    _MEDIAN_BLOCK,
+    SmoothConfig,
+    align_labels,
+    smooth_matrix,
+    smooth_series,
+)
 
 
 def brute_smooth(x, h, kind):
@@ -25,7 +31,7 @@ def brute_smooth(x, h, kind):
 
 
 def median_oracle(values, h):
-    """The windowed ``np.median`` the rank-filter median replaced."""
+    """The windowed ``np.median`` that the block-sorted median replaced."""
     if h == 1:
         return values.copy()
     return np.median(sliding_window_view(values, h, axis=-1), axis=-1)
@@ -155,7 +161,10 @@ def test_effective_length_bookkeeping():
 def test_median_matches_np_median_oracle_bit_for_bit():
     rng = np.random.default_rng(2024)
     for h in range(1, 42):
-        for t in (h, h + 1, 500):
+        # every fifth h, odd and even, also leaves one window past a full
+        # sort block
+        long = (_MEDIAN_BLOCK + h,) if h % 5 == 1 else ()
+        for t in (h, h + 1, 500, *long):
             blocks = (
                 rng.standard_normal((3, t)),
                 rng.integers(0, 3, (3, t)).astype(float),  # heavy ties

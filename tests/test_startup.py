@@ -1,10 +1,12 @@
 """What a command loads at start-up.
 
-Every command pays for the import of ``madkit.cli``.  ``scipy.stats``
-(used only by the chi2 rule) and ``scipy.signal`` (used only by
-``synth``) are imported on first use, so neither a plain import nor the
-POT ``detect`` and ``explain`` paths may load them.  Each check runs in a
-fresh interpreter, because the test process itself has imported both.
+Every command pays for the import of ``madkit.cli``.  Smoothing, scoring
+and the POT fit run on numpy alone, so neither a plain import nor the
+``detect``, ``explain`` and ``evaluate`` paths may load any ``scipy``
+module.  Only the chi2 rule (``scipy.stats``) and ``synth``
+(``scipy.signal``) import scipy, on first use; the chi2 run below shows
+that the probe sees such an import.  Each check runs in a fresh
+interpreter, because the test process itself has imported scipy.
 """
 
 import json
@@ -13,19 +15,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import madkit
 from madkit.data import save_csv
 from madkit.synthetic import AnomalySpec, SynthConfig, generate
 
-LAZY = ("scipy.stats", "scipy.signal")
 SRC = str(Path(madkit.__file__).resolve().parents[1])
+H = 20  # even, so the median averages two order statistics
 
 
-def loaded_after(code: str) -> dict:
-    """Run ``code`` in a fresh interpreter; report which of ``LAZY`` it loaded."""
+def scipy_after(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; the scipy modules it loaded."""
     probe = code + (
         "\nimport json, sys\n"
-        f"print(json.dumps({{m: m in sys.modules for m in {LAZY!r}}}))\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy')))\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", probe],
@@ -38,14 +43,14 @@ def loaded_after(code: str) -> dict:
     return json.loads(run.stdout.splitlines()[-1])
 
 
-def test_import_loads_neither_stats_nor_signal():
-    nothing = dict.fromkeys(LAZY, False)
-    assert loaded_after("import madkit") == nothing
-    assert loaded_after("import madkit.cli") == nothing
+def run_main(argv: list[str]) -> list[str]:
+    return scipy_after(f"from madkit.cli import main\nassert main({argv!r}) == 0\n")
 
 
-def test_pot_detect_and_explain_load_neither_stats_nor_signal(tmp_path):
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
     # the data is written here, because generating it needs scipy.signal
+    tmp = tmp_path_factory.mktemp("startup")
     config = SynthConfig(
         n=5,
         t_train=4000,
@@ -53,27 +58,53 @@ def test_pot_detect_and_explain_load_neither_stats_nor_signal(tmp_path):
         anomalies=(AnomalySpec(start=4100, length=40, variables=(1,), magnitude=8.0),),
         seed=3,
     )
-    matrix, _, spec = generate(config)
-    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    matrix, labels, spec = generate(config)
+    train, test = tmp / "train.csv", tmp / "test.csv"
     save_csv(matrix.slice_time(0, spec.train_end), train)
     save_csv(matrix.slice_time(spec.train_end, matrix.n_times), test)
-    data = ["--train", str(train), "--test", str(test)]
-    detect = [
-        "detect", *data, "--threshold", "pot", "--pot-q", "0.005",
-        "--out", str(tmp_path / "detect.json"),
+    truth = tmp / "truth.csv"
+    truth.write_text("label\n" + "".join(f"{v}\n" for v in labels[spec.train_end :]))
+    return tmp, ["--train", str(train), "--test", str(test)]
+
+
+def detect_argv(tmp: Path, data: list[str], *threshold: str) -> list[str]:
+    return [
+        "detect", *data, "--smooth-kind", "median", "--smooth-window", str(H),
+        *threshold, "--scores-out", str(tmp / "scores.csv"),
+        "--out", str(tmp / "detect.json"),
     ]
-    explain = [
-        "explain", *data, "--threshold", "pot", "--pot-q", "0.005",
-        "--importance", "both", "--rf-trees", "5",
-        "--out", str(tmp_path / "explain.json"),
-    ]
-    code = (
-        "from madkit.cli import main\n"
-        f"assert main({detect!r}) == 0\n"
-        f"assert main({explain!r}) == 0\n"
-    )
-    assert loaded_after(code) == dict.fromkeys(LAZY, False)
-    report = json.loads((tmp_path / "detect.json").read_text())
+
+
+def test_import_loads_no_scipy():
+    assert scipy_after("import madkit") == []
+    assert scipy_after("import madkit.cli") == []
+
+
+def test_pot_detect_explain_and_evaluate_load_no_scipy(data):
+    tmp, files = data
+    pot = ["--threshold", "pot", "--pot-q", "0.005"]
+    assert run_main(detect_argv(tmp, files, *pot)) == []
+    report = json.loads((tmp / "detect.json").read_text())
     assert report["detection"]["n_flags"] > 0
-    rankings = json.loads((tmp_path / "explain.json").read_text())
-    assert len(rankings) == 2
+
+    explain = [
+        "explain", *files, *pot, "--importance", "both", "--rf-trees", "5",
+        "--out", str(tmp / "explain.json"),
+    ]
+    assert run_main(explain) == []
+    assert len(json.loads((tmp / "explain.json").read_text())) == 2
+
+    evaluate = [
+        "evaluate", "--pred", str(tmp / "scores.csv"),
+        "--truth", str(tmp / "truth.csv"), "--smooth-window", str(H),
+        "--out", str(tmp / "evaluate.json"),
+    ]
+    assert run_main(evaluate) == []
+    assert json.loads((tmp / "evaluate.json").read_text())
+
+
+def test_chi2_detect_loads_scipy_stats(data):
+    # the probe must see scipy when a command does import it
+    tmp, files = data
+    loaded = run_main(detect_argv(tmp, files, "--threshold", "chi2"))
+    assert "scipy.stats" in loaded

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import optimize, special, stats
 
-from madkit.data import GpdParameters
+from madkit.data import GpdParameters, SeriesMatrix
+from madkit.scoring import fit_scatter, score_all
+from madkit.smoothing import SmoothConfig, smooth_matrix
 from madkit.thresholds import (
     MIN_EXCEEDANCES,
     GpdFitError,
@@ -27,6 +29,68 @@ def gpd_sample(rng, gamma, delta, n):
     if gamma == 0.0:
         return -delta * np.log1p(-u)
     return delta * ((1.0 - u) ** -gamma - 1.0) / gamma
+
+
+def nelder_mead_fit(y):
+    """The Nelder-Mead fit that Grimshaw's reduction replaced, the oracle:
+    two searches over (gamma, log delta), from a method-of-moments start
+    and from the exponential fit, and the best of them and the exponential
+    fit by likelihood."""
+    mean, var = float(y.mean()), float(y.var())
+    ratio = mean * mean / var
+    exponential = (0.0, mean)
+
+    def negloglik(params):
+        ll = gpd_loglik(y, params[0], math.exp(params[1]))
+        return -ll if math.isfinite(ll) else math.inf
+
+    starts = [exponential]
+    moments = (0.5 * (1.0 - ratio), 0.5 * mean * (ratio + 1.0))
+    if math.isfinite(gpd_loglik(y, *moments)):
+        starts.insert(0, moments)
+    candidates = [exponential]
+    for g0, d0 in starts:
+        res = optimize.minimize(
+            negloglik,
+            x0=np.array([g0, math.log(d0)]),
+            method="Nelder-Mead",
+            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000, "maxfev": 4000},
+        )
+        # fit_gpd used to drop a search that ran out of evaluations, and
+        # raised when both did; on a flat optimum that happens with the
+        # simplex at the top, so its best point is kept here
+        if math.isfinite(res.fun):
+            candidates.append((float(res.x[0]), math.exp(float(res.x[1]))))
+    return max(candidates, key=lambda c: gpd_loglik(y, *c))
+
+
+def mahalanobis_tail(rng, m, t, h, heavy):
+    """Exceedances over the 0.99 quantile of Mahalanobis training scores,
+    as a POT detector fits them."""
+    draw = rng.standard_t(4, (m, t)) if heavy else rng.standard_normal((m, t))
+    values = draw + 0.3 * draw[:1]  # correlated variables
+    values = smooth_matrix(SeriesMatrix([f"v{i}" for i in range(m)], values),
+                           SmoothConfig(h, "median")).values
+    centered = values - values.mean(axis=1, keepdims=True)
+    scores = score_all(fit_scatter(centered), centered)
+    l = float(np.quantile(scores, 0.99))
+    return scores[scores > l] - l
+
+
+def gpd_oracle_samples():
+    """40 seeded samples: criterion 3's four (gamma, delta) pairs at four
+    sizes, and 24 Mahalanobis tails of 30 to 285 exceedances."""
+    rng = np.random.default_rng(2027)
+    for gamma, delta in ((-0.2, 1.0), (0.0, 2.0), (0.2, 1.0), (0.5, 0.5)):
+        for n in (40, 300, 5000, 100000):
+            yield f"gpd({gamma},{delta}) n={n}", gpd_sample(rng, gamma, delta, n)
+    for m in (5, 20, 38):
+        for t in (3000, 28479):
+            for h in (1, 20):
+                for heavy in (False, True):
+                    yield f"md m={m} t={t} h={h} heavy={heavy}", mahalanobis_tail(
+                        rng, m, t, h, heavy
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +232,47 @@ def test_fit_gpd_reports_its_loglik():
     y = gpd_sample(rng, 0.3, 1.0, 2000)
     fit = fit_gpd(y)
     assert abs(fit.loglik - gpd_loglik(y, fit.gamma, fit.delta)) < 1e-9
+
+
+def test_fit_gpd_matches_nelder_mead_oracle():
+    # k as the bench computes it: q = 1e-3 of 100 times the peak count
+    samples = list(gpd_oracle_samples())
+    assert len(samples) == 40
+    for name, y in samples:
+        fit = fit_gpd(y, l=1.0, t_total=100 * y.size)
+        gamma, delta = nelder_mead_fit(y)
+        oracle = GpdParameters(gamma, delta, 1.0, y.size, 100 * y.size,
+                               gpd_loglik(y, gamma, delta))
+        assert fit.loglik >= oracle.loglik - 1e-9, name
+        k, want = pot_quantile(fit, 1e-3), pot_quantile(oracle, 1e-3)
+        assert abs(k - want) <= 1e-7 * want, (name, k, want)
+
+
+def test_fit_gpd_stops_at_gamma_minus_one():
+    # toward theta = -1 / max y the likelihood grows without bound once
+    # gamma < -1, and with few peaks the grid's last points reach that
+    # region.  Where the likelihood has a maximum above gamma = -1 the fit
+    # finds it; where it has none (2 of these 10 samples), Nelder-Mead
+    # stops wherever its simplex shrinks, and the fit stops at -1.
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        y = gpd_sample(rng, -0.45, 1.0, MIN_EXCEEDANCES)
+        fit = fit_gpd(y)
+        gamma = nelder_mead_fit(y)[0]
+        assert fit.gamma == pytest.approx(max(gamma, -1.0), rel=1e-6)
+
+
+def test_fit_gpd_is_scale_free():
+    # the search runs in theta * max(y); at 1e-170 the squares of the peaks
+    # underflow, at 1e170 they overflow.  Scaling changes the last bits of
+    # every product, and golden section finds the flat maximum to about
+    # 1e-8, so the fits agree to POT_K_TOL (1e-7), not to the last bit.
+    y = gpd_sample(np.random.default_rng(9), 0.2, 1.0, 500)
+    fit = fit_gpd(y)
+    for scale in (1e-170, 1e170):
+        scaled = fit_gpd(scale * y)
+        assert scaled.gamma == pytest.approx(fit.gamma, rel=1e-7)
+        assert scaled.delta == pytest.approx(scale * fit.delta, rel=1e-7)
 
 
 def test_fit_gpd_too_few_exceedances():
