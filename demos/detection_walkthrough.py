@@ -63,7 +63,7 @@ flags = result.flags
 print(f"{flags.sum()} flagged points out of {flags.size}")
 
 # smoothing shortens the series; align the truth labels the same way
-aligned_truth = truth[t_train:][model.h - 1:]
+aligned_truth = truth[t_train:][model.smooth.h - 1:]
 clusters = extract_clusters(aligned_truth, min_length=50)
 print(f"planted clusters (aligned): "
       f"{[(c.start, c.end) for c in clusters]}")

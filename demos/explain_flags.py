@@ -46,7 +46,8 @@ cfg = PipelineConfig(
 model, result, report = run_detect(cfg)
 print(f"{result.flags.sum()} flags in the test half")
 
-reports = run_explain(cfg, model, result.flags, train=train, test=test)
+# run_explain fits and flags as run_detect does; passing the model skips the refit
+reports = run_explain(cfg, model)
 for imp in reports:
     ranked = ", ".join(f"{name}={score:.2e}" for name, score in imp.ranking[:4])
     print(f"{imp.method:8s} top 4: {ranked}")

@@ -33,7 +33,6 @@ from .pipeline import (
     PipelineError,
     _stage,
     apply_detector,
-    explain_inputs,
     load_evaluation_labels,
     load_matrix,
     load_or_fit_model,
@@ -384,9 +383,9 @@ def _print_summary(report: dict) -> None:
 
 
 def _cmd_explain(cfg: PipelineConfig, options: dict) -> None:
-    train, test, model = explain_inputs(cfg, options.get("model"))
-    result, _ = apply_detector(model, test)
-    reports = run_explain(cfg, model, result.flags, train=train, test=test)
+    path = options.get("model")
+    model = load_or_fit_model(cfg, path)[0] if path else None
+    reports = run_explain(cfg, model)
     payload = [
         {
             "method": rep.method,

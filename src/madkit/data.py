@@ -28,6 +28,20 @@ THRESHOLD_KINDS = ("mvt", "pot", "chi2")
 FILTER_KINDS = ("mean", "median")
 
 
+@dataclass(frozen=True)
+class SmoothConfig:
+    """Window length ``h`` (1 disables smoothing) and filter kind."""
+
+    h: int = 1
+    kind: str = "median"
+
+    def __post_init__(self):
+        if self.h < 1:
+            raise ValueError("window length h must be at least 1")
+        if self.kind not in FILTER_KINDS:
+            raise ValueError(f"kind must be one of {FILTER_KINDS}")
+
+
 class CsvFormatError(ValueError):
     """Raised when a delimited input file cannot be parsed."""
 
@@ -154,7 +168,8 @@ class GpdParameters:
 class DetectorModel:
     """Everything needed to score and flag new data.
 
-    ``retained`` indexes into the original variable order; ``scatter``
+    ``smooth`` is the smoothing the model was fitted with; new data gets
+    the same.  ``retained`` indexes into the original variable order; ``scatter``
     is in the reduced (retained) order.  ``vif_trace`` records the removed
     variables as ``(original_index, vif_at_removal)`` pairs, in removal
     order; a VIF may be ``inf`` (exact collinearity) but never ``nan``.
@@ -163,8 +178,7 @@ class DetectorModel:
     """
 
     retained: list[int]
-    h: int
-    filter_kind: str
+    smooth: SmoothConfig
     scatter: ScatterFit
     threshold_kind: str
     k: float
@@ -182,10 +196,6 @@ class DetectorModel:
                 "retained and removed variables must number 0 .. "
                 f"{self.n_original - 1} once each, with no gap or overlap"
             )
-        if self.h < 1:
-            raise ValueError("h must be at least 1")
-        if self.filter_kind not in FILTER_KINDS:
-            raise ValueError(f"filter_kind must be one of {FILTER_KINDS}")
         if self.threshold_kind not in THRESHOLD_KINDS:
             raise ValueError(f"threshold_kind must be one of {THRESHOLD_KINDS}")
         if self.scatter.m != m:
@@ -570,8 +580,8 @@ def save_model(model: DetectorModel, path) -> None:
     """Write a model as versioned, self-describing UTF-8 text."""
     lines = [MODEL_FORMAT_HEADER]
     lines.append(f"threshold_kind: {model.threshold_kind}")
-    lines.append(f"h: {model.h}")
-    lines.append(f"filter_kind: {model.filter_kind}")
+    lines.append(f"h: {model.smooth.h}")
+    lines.append(f"filter_kind: {model.smooth.kind}")
     lines.append("k: " + _REAL % model.k)
     lines.append("names: " + json.dumps(model.names))  # JSON: commas survive
     lines.append("retained: " + ",".join(str(i) for i in model.retained))
@@ -664,8 +674,7 @@ def load_model(path) -> DetectorModel:
     try:
         return DetectorModel(
             retained=retained,
-            h=h,
-            filter_kind=filter_kind,
+            smooth=SmoothConfig(h, filter_kind),
             scatter=ScatterFit(mu=mu, sigma=sigma),
             threshold_kind=threshold_kind,
             k=k,

@@ -406,6 +406,8 @@ def train_forest(
         raise ValueError("n_trees must be at least 1")
     if t_min < 1:
         raise ValueError("t_min must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     p = data.n_features
     if q_features is None:
         q_features = max(1, int(math.isqrt(p)))

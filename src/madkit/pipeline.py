@@ -24,6 +24,7 @@ from .collinearity import vif_prune
 from .data import (
     DetectorModel,
     SeriesMatrix,
+    SmoothConfig,
     SplitSpec,
     as_labels,
     load_csv,
@@ -40,7 +41,7 @@ from .importance import (
 )
 from .metrics import confusion, extract_clusters, f1, mcc, precision, recall, ric
 from .scoring import fit_scatter, score_all
-from .smoothing import SmoothConfig, align_labels, smooth_matrix
+from .smoothing import align_labels, smooth_matrix
 from .thresholds import (
     ThresholdSpec,
     chi2_threshold,
@@ -207,7 +208,8 @@ def fit_detector(
     """Fit a detector on training data (steps 1 to 4).
 
     Returns the model plus a fit report holding the pruning trace,
-    training-score summary, and per-step timings.
+    training-score summary, per-step timings and, under ``"smoothed"``,
+    the smoothed training block.
     """
     smooth = smooth or SmoothConfig()
     threshold = threshold or ThresholdSpec()
@@ -232,8 +234,7 @@ def fit_detector(
 
     model = DetectorModel(
         retained=list(report.retained),
-        h=smooth.h,
-        filter_kind=smooth.kind,
+        smooth=smooth,
         scatter=fit,
         threshold_kind=threshold.kind,
         k=float(k),
@@ -255,6 +256,7 @@ def fit_detector(
             "mean": float(train_scores.mean()),
         },
         "timing": timings,
+        "smoothed": smoothed,
     }
     return model, info
 
@@ -265,7 +267,8 @@ def apply_detector(
     """Score and flag a test block with a fitted model (step scoring).
 
     The test variables must match the model's in count and, when the model
-    knows their names, in name and order.
+    knows their names, in name and order.  The info dict holds the
+    per-step timings and, under ``"smoothed"``, the smoothed test block.
     """
     timings: dict[str, float] = {}
     with _stage("score"):
@@ -281,16 +284,16 @@ def apply_detector(
                 f"was fitted with {model.names[i]!r} there"
             )
     with _stage("smooth", timings):
-        smoothed = smooth_matrix(test, SmoothConfig(model.h, model.filter_kind))
+        smoothed = smooth_matrix(test, model.smooth)
     with _stage("score", timings):
         reduced = smoothed.values[model.retained] - model.scatter.mu[:, None]
         scores = score_all(model.scatter, reduced)
     with _stage("score", timings, "flag"):
         flags = flag_scores(scores, model.k)
     result = DetectionResult(
-        scores=scores, flags=flags, time_offset=model.h - 1
+        scores=scores, flags=flags, time_offset=model.smooth.h - 1
     )
-    return result, {"timing": timings}
+    return result, {"timing": timings, "smoothed": smoothed}
 
 
 def load_or_fit_model(cfg: PipelineConfig, path=None, train=None):
@@ -302,13 +305,6 @@ def load_or_fit_model(cfg: PipelineConfig, path=None, train=None):
             return load_model(path), None
     train = load_matrix(train, cfg.label_column)
     return fit_detector(train, cfg.smooth, cfg.vif_threshold, cfg.threshold)
-
-
-def explain_inputs(cfg: PipelineConfig, model_path=None):
-    """The train and test blocks of ``cfg`` and the model to explain them
-    with: the one saved at ``model_path``, or one fitted on the train block."""
-    train, test = _resolve_data(cfg)
-    return train, test, load_or_fit_model(cfg, model_path, train)[0]
 
 
 def _threshold_block(model: DetectorModel) -> dict:
@@ -324,6 +320,7 @@ def run_detect(
     """Run the full detection pipeline from a configuration."""
     train, test = _resolve_data(cfg)
     model, fit_info = load_or_fit_model(cfg, train=train)
+    del fit_info["smoothed"]  # not held while the test block is scored
     result, score_info = apply_detector(model, test)
     report = {
         "tool": {"name": "madkit", "version": _version},
@@ -395,35 +392,41 @@ def _intervals(flags: np.ndarray, offset: int) -> list[dict]:
 
 
 def run_explain(
-    cfg: PipelineConfig,
-    model: DetectorModel,
-    flags: np.ndarray,
-    *,
-    train: SeriesMatrix,
-    test: SeriesMatrix,
+    cfg: PipelineConfig, model: DetectorModel | None = None
 ) -> list[ImportanceReport]:
     """Rank variables behind the flags in the configured window.
 
+    As :func:`run_detect` does, this resolves ``cfg``'s data, fits a model
+    on the train block unless ``model`` is given, and flags the test block.
     Features come from the representation that produced the flags
     (smoothed, unless ``cfg.step5_features == "raw"``), over the original
     pre-pruning variable set, with ``cfg.step5_extra`` known-normal rows
-    from the end of the training block.
+    from the end of the training block.  Each block is smoothed once: the
+    features reuse the blocks the fit and the scoring smoothed.
     """
-    smooth = SmoothConfig(model.h, model.filter_kind)
+    train, test = _resolve_data(cfg)
+    fit_info = None
+    if model is None:
+        model, fit_info = load_or_fit_model(cfg, train=train)
+    result, score_info = apply_detector(model, test)
     if cfg.step5_features == "smoothed":
-        with _stage("smooth"):
-            feat_test = smooth_matrix(test, smooth)
-            feat_train = smooth_matrix(train, smooth)
+        feat_test = score_info["smoothed"]
+        if fit_info is not None:
+            feat_train = fit_info["smoothed"]
+        else:
+            with _stage("smooth"):
+                feat_train = smooth_matrix(train, model.smooth)
     else:
         # raw columns aligned to the smoothed timeline (window ends)
-        feat_test = test.slice_time(model.h - 1, test.n_times)
-        feat_train = train.slice_time(model.h - 1, train.n_times)
+        h = model.smooth.h
+        feat_test = test.slice_time(h - 1, test.n_times)
+        feat_train = train.slice_time(h - 1, train.n_times)
     window = cfg.step5_window or (0, feat_test.n_times)
     n_extra = min(cfg.step5_extra, feat_train.n_times)
     with _stage("explain"):
         dataset = assemble_explain_dataset(
             feat_test,
-            flags,
+            result.flags,
             window,
             train_tail=feat_train if n_extra > 0 else None,
             n_extra=n_extra,

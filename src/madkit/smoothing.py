@@ -16,29 +16,13 @@ bit for bit what ``np.median`` gives over the same windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import FILTER_KINDS, SeriesMatrix
+from .data import SeriesMatrix, SmoothConfig
 
 # windows sorted at once by the median: h = 20 makes a 1.25 MiB block
 _MEDIAN_BLOCK = 8192
-
-
-@dataclass(frozen=True)
-class SmoothConfig:
-    """Window length ``h`` (1 disables smoothing) and filter kind."""
-
-    h: int = 1
-    kind: str = "median"
-
-    def __post_init__(self):
-        if self.h < 1:
-            raise ValueError("window length h must be at least 1")
-        if self.kind not in FILTER_KINDS:
-            raise ValueError(f"kind must be one of {FILTER_KINDS}")
 
 
 def smooth_series(x: np.ndarray, config: SmoothConfig) -> np.ndarray:

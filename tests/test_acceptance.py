@@ -397,7 +397,7 @@ def test_criterion_08_smd_machine_1_1():
     interp = SMD_DIR / "interpretation_label" / "machine-1-1.txt"
     cause_note = "no interpretation file"
     if interp.exists():
-        from madkit.pipeline import run_explain
+        from madkit.pipeline import PipelineError, run_explain
 
         recovered = []
         for line in interp.read_text().splitlines():
@@ -416,10 +416,8 @@ def test_criterion_08_smd_machine_1_1():
                 importance="both",
             )
             try:
-                reports = run_explain(
-                    window_cfg, model, result.flags, train=train, test=test
-                )
-            except Exception:
+                reports = run_explain(window_cfg, model)
+            except PipelineError:
                 continue
             v = max(len(cause_vars), 5)
             for rep in reports:

@@ -14,6 +14,7 @@ from madkit.data import (
     GpdParameters,
     ModelFormatError,
     SeriesMatrix,
+    SmoothConfig,
     SplitSpec,
     _read_labels_bulk,
     _read_labels_rows,
@@ -654,8 +655,7 @@ def make_model(threshold_kind="mvt", gpd=None, vif_trace=((1, 12.5),)):
     sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
     return DetectorModel(
         retained=[0, 2],
-        h=3,
-        filter_kind="median",
+        smooth=SmoothConfig(3, "median"),
         scatter=ScatterFit(mu=np.array([0.1, -0.2]), sigma=sigma),
         threshold_kind=threshold_kind,
         k=2.5,
@@ -678,8 +678,7 @@ def test_model_rejects_nonpositive_threshold():
     with pytest.raises(ValueError, match="positive"):
         DetectorModel(
             retained=[0, 1],
-            h=1,
-            filter_kind="mean",
+            smooth=SmoothConfig(1, "mean"),
             scatter=ScatterFit(mu=np.zeros(2), sigma=np.eye(2)),
             threshold_kind="mvt",
             k=0.0,
@@ -691,8 +690,7 @@ def test_model_rejects_non_finite_threshold(k):
     with pytest.raises(ValueError, match="threshold k must be positive and finite"):
         DetectorModel(
             retained=[0, 1],
-            h=1,
-            filter_kind="mean",
+            smooth=SmoothConfig(1, "mean"),
             scatter=ScatterFit(mu=np.zeros(2), sigma=np.eye(2)),
             threshold_kind="mvt",
             k=k,
@@ -716,8 +714,7 @@ def test_model_indices_must_number_every_variable_once():
         with pytest.raises(ValueError, match="once each"):
             DetectorModel(
                 retained=retained,
-                h=1,
-                filter_kind="mean",
+                smooth=SmoothConfig(1, "mean"),
                 scatter=ScatterFit(mu=np.zeros(2), sigma=np.eye(2)),
                 threshold_kind="mvt",
                 k=1.0,
@@ -743,8 +740,7 @@ def test_model_file_round_trip(tmp_path):
 
     back = load_model(path)
     assert back.retained == model.retained
-    assert back.h == model.h
-    assert back.filter_kind == model.filter_kind
+    assert back.smooth == model.smooth
     assert back.threshold_kind == "pot"
     assert back.k == model.k
     assert back.vif_trace == model.vif_trace

@@ -29,7 +29,7 @@ from madkit.pipeline import (
     run_evaluate,
     run_explain,
 )
-from madkit.smoothing import SmoothConfig, align_labels
+from madkit.smoothing import SmoothConfig, align_labels, smooth_matrix
 from madkit.synthetic import AnomalySpec, CollinearGroup, SynthConfig, generate
 from madkit.thresholds import ThresholdSpec
 
@@ -177,9 +177,9 @@ def test_run_explain_ranks_planted_variables():
     )
     train, test, _ = corpus(seed=9, anomalies=anomalies)
     cfg = PipelineConfig(train=train, test=test, importance="both", rf_trees=60)
-    model, result, _ = run_detect(cfg)
+    _, result, _ = run_detect(cfg)
     assert result.flags.sum() > 0
-    reports = run_explain(cfg, model, result.flags, train=train, test=test)
+    reports = run_explain(cfg)
     assert [r.method for r in reports] == ["rf-gini", "lr-rcde"]
     for rep in reports:
         top = rep.top(3)
@@ -187,16 +187,29 @@ def test_run_explain_ranks_planted_variables():
         assert "v5" in top
 
 
-def test_run_explain_raw_features_are_window_end_columns(monkeypatch):
+@pytest.mark.parametrize("features", ["raw", "smoothed"])
+@pytest.mark.parametrize("kind", ["median", "mean"])
+@pytest.mark.parametrize("given_model", [False, True], ids=["fit", "model"])
+def test_run_explain_raw_features_are_window_end_columns(
+    monkeypatch, features, kind, given_model
+):
     # step5_features="raw" pairs smoothed position j with raw column
-    # j + h - 1, the end of its smoothing window
+    # j + h - 1, the end of its smoothing window; "smoothed" uses the
+    # smoothed blocks themselves, here smoothed again as the oracle
     train, test, _ = corpus(seed=11, t_train=1000, t_test=400)
     h, window, n_extra = 5, (150, 250), 50
     cfg = PipelineConfig(
-        train=train, test=test, smooth=SmoothConfig(h=h), rf_trees=3,
-        step5_features="raw", step5_window=window, step5_extra=n_extra,
+        train=train, test=test, smooth=SmoothConfig(h=h, kind=kind),
+        rf_trees=3, step5_features=features, step5_window=window,
+        step5_extra=n_extra,
     )
     model, result, _ = run_detect(cfg)
+    if features == "raw":
+        feat_test = test.values[:, h - 1 :]
+        feat_train = train.values[:, h - 1 :]
+    else:
+        feat_test = smooth_matrix(test, cfg.smooth).values
+        feat_train = smooth_matrix(train, cfg.smooth).values
     import madkit.pipeline
 
     datasets = []
@@ -207,25 +220,58 @@ def test_run_explain_raw_features_are_window_end_columns(monkeypatch):
         return datasets[-1]
 
     monkeypatch.setattr(madkit.pipeline, "assemble_explain_dataset", recorded)
-    run_explain(cfg, model, result.flags, train=train, test=test)
+    run_explain(cfg, model if given_model else None)
     (ds,) = datasets
     start, stop = window
     rows = stop - start
     assert ds.n_rows == rows + n_extra
-    assert np.array_equal(ds.features[:rows], test.values[:, h - 1 :][:, start:stop].T)
+    assert np.array_equal(ds.features[:rows], feat_test[:, start:stop].T)
     assert np.array_equal(ds.targets[:rows], result.flags[start:stop])
     assert 0 < ds.targets.sum() < rows
-    assert np.array_equal(ds.features[rows:], train.values[:, -n_extra:].T)
+    assert np.array_equal(ds.features[rows:], feat_train[:, -n_extra:].T)
     assert not ds.targets[rows:].any()
+
+
+@pytest.mark.parametrize(
+    "features, given_model, calls",
+    [
+        ("smoothed", False, 2),
+        ("smoothed", True, 2),
+        ("raw", False, 2),
+        ("raw", True, 1),
+    ],
+    ids=["default", "model", "raw", "raw-model"],
+)
+def test_run_explain_smooths_each_block_once(
+    monkeypatch, features, given_model, calls
+):
+    train, test, _ = corpus(seed=11, t_train=1000, t_test=400)
+    cfg = PipelineConfig(
+        train=train, test=test, smooth=SmoothConfig(h=5), rf_trees=3,
+        step5_features=features, step5_window=(150, 250), step5_extra=50,
+    )
+    model, _ = fit_detector(train, cfg.smooth)
+    import madkit.pipeline
+
+    smoothed = []
+    smooth = madkit.pipeline.smooth_matrix
+
+    def counted(*args, **kwargs):
+        smoothed.append(1)
+        return smooth(*args, **kwargs)
+
+    monkeypatch.setattr(madkit.pipeline, "smooth_matrix", counted)
+    run_explain(cfg, model if given_model else None)
+    assert len(smoothed) == calls
 
 
 def test_run_explain_zero_flag_window_fails():
     train, test, _ = corpus(seed=10, anomalies=())
     cfg = PipelineConfig(train=train, test=test, step5_window=(0, 50))
-    model, result, _ = run_detect(cfg)
+    _, result, _ = run_detect(cfg)
     assert result.flags[:50].sum() == 0
     with pytest.raises(PipelineError) as err:
-        run_explain(cfg, model, result.flags, train=train, test=test)
+        run_explain(cfg)
     assert err.value.stage == "explain"
     assert err.value.exit_code == EXIT_CODES["explain"]
 
@@ -246,7 +292,6 @@ def test_run_explain_both_fails_before_growing_a_forest(monkeypatch):
         train=train, test=test, smooth=SmoothConfig(h=20),
         threshold=ThresholdSpec(kind="pot"), importance="both", rf_trees=10,
     )
-    model, result, _ = run_detect(cfg)
     import madkit.pipeline
 
     calls = []
@@ -258,7 +303,7 @@ def test_run_explain_both_fails_before_growing_a_forest(monkeypatch):
 
     monkeypatch.setattr(madkit.pipeline, "train_forest", counted)
     with pytest.raises(PipelineError) as err:
-        run_explain(cfg, model, result.flags, train=train, test=test)
+        run_explain(cfg)
     assert err.value.stage == "explain"
     assert "--importance rf" in str(err.value.cause)
     assert calls == []
@@ -696,8 +741,10 @@ def test_model_vif_may_be_inf_but_not_nan(tmp_path):
     [
         ("gpd", 1, "-1", "invalid model contents: delta must be positive"),
         ("mu", 0, "x", "corrupted model file: could not convert"),
+        ("h", 0, "0", "invalid model contents: window length h must be at least 1"),
+        ("filter_kind", 0, "mode", "invalid model contents: kind must be one of"),
     ],
-    ids=["domain", "syntax"],
+    ids=["domain", "syntax", "h", "filter_kind"],
 )
 def test_cli_score_words_model_faults_by_kind(
     tmp_path, capsys, key, cell, value, wording
@@ -719,6 +766,11 @@ def test_cli_rejects_wrong_inputs_loudly(tmp_path, capsys):
     labels = ["--pred", str(pred), "--truth", str(truth), "--pred-column", "myflag"]
     cases = [
         (["explain", *data, "--rf-trees", "0"], "explain", "n_trees must be"),
+        (
+            ["explain", *data, "--rf-seed", "-1"],
+            "explain",
+            "seed must be a non-negative integer",
+        ),
         (["evaluate", *labels, "--min-cluster-len", "0"], "evaluate", "min_length"),
         (["evaluate", *labels, "--smooth-window", "0"], "config", "window length"),
         (
