@@ -175,6 +175,7 @@ def load_matrix(source, label_column: str | None = None) -> SeriesMatrix:
 
 
 def _resolve_data(cfg: PipelineConfig):
+    """Check ``cfg``'s sources; read and split ``data``, leave the others unread."""
     with _stage("config"):
         if cfg.data is not None:
             if cfg.train is not None or cfg.test is not None:
@@ -195,8 +196,7 @@ def _resolve_data(cfg: PipelineConfig):
                 "train_end splits a data source; it does not apply to "
                 "train and test sources"
             )
-        train = load_matrix(cfg.train, cfg.label_column)
-        return train, load_matrix(cfg.test, cfg.label_column)
+        return cfg.train, cfg.test
 
 
 def fit_detector(
@@ -209,16 +209,19 @@ def fit_detector(
 
     Returns the model plus a fit report holding the pruning trace,
     training-score summary, per-step timings and, under ``"smoothed"``,
-    the smoothed training block.
+    the smoothed training block.  The raw block is let go once smoothed
+    (freed when passed as a temporary), the centered one once reduced.
     """
     smooth = smooth or SmoothConfig()
     threshold = threshold or ThresholdSpec()
     timings: dict[str, float] = {}
     with _stage("smooth", timings):
         smoothed = smooth_matrix(train, smooth)
+    del train
     with _stage("collinearity", timings, "vif_prune"):
         report = vif_prune(smoothed, vif_threshold)
     reduced = report.centered[report.retained]
+    report.centered = None
     with _stage("scatter", timings, "fit_scatter"):
         fit = fit_scatter(reduced, report.means[report.retained])
     with _stage("score", timings):
@@ -240,7 +243,7 @@ def fit_detector(
         k=float(k),
         gpd=gpd,
         vif_trace=list(report.removed),
-        names=list(train.names),
+        names=list(smoothed.names),
     )
     info = {
         "vif": {
@@ -269,6 +272,7 @@ def apply_detector(
     The test variables must match the model's in count and, when the model
     knows their names, in name and order.  The info dict holds the
     per-step timings and, under ``"smoothed"``, the smoothed test block.
+    As in :func:`fit_detector`, the raw block is let go once smoothed.
     """
     timings: dict[str, float] = {}
     with _stage("score"):
@@ -285,8 +289,10 @@ def apply_detector(
             )
     with _stage("smooth", timings):
         smoothed = smooth_matrix(test, model.smooth)
+    del test
     with _stage("score", timings):
-        reduced = smoothed.values[model.retained] - model.scatter.mu[:, None]
+        reduced = smoothed.values[model.retained]
+        reduced -= model.scatter.mu[:, None]
         scores = score_all(model.scatter, reduced)
     with _stage("score", timings, "flag"):
         flags = flag_scores(scores, model.k)
@@ -303,8 +309,9 @@ def load_or_fit_model(cfg: PipelineConfig, path=None, train=None):
     if path:
         with _stage("ingest"):
             return load_model(path), None
-    train = load_matrix(train, cfg.label_column)
-    return fit_detector(train, cfg.smooth, cfg.vif_threshold, cfg.threshold)
+    # passed by position: an *args tuple would keep a block read here alive
+    smooth, vif, threshold = cfg.smooth, cfg.vif_threshold, cfg.threshold
+    return fit_detector(load_matrix(train, cfg.label_column), smooth, vif, threshold)
 
 
 def _threshold_block(model: DetectorModel) -> dict:
@@ -317,11 +324,13 @@ def _threshold_block(model: DetectorModel) -> dict:
 def run_detect(
     cfg: PipelineConfig,
 ) -> tuple[DetectorModel, DetectionResult, dict]:
-    """Run the full detection pipeline from a configuration."""
+    """Run the full detection pipeline from a configuration: check it, read
+    and fit the train file, then read and score the test file, keeping no
+    block that the next step no longer needs (three (n, T) blocks at most)."""
     train, test = _resolve_data(cfg)
     model, fit_info = load_or_fit_model(cfg, train=train)
     del fit_info["smoothed"]  # not held while the test block is scored
-    result, score_info = apply_detector(model, test)
+    result, score_info = apply_detector(model, load_matrix(test, cfg.label_column))
     report = {
         "tool": {"name": "madkit", "version": _version},
         "config": _config_block(cfg),
@@ -402,13 +411,18 @@ def run_explain(
     (smoothed, unless ``cfg.step5_features == "raw"``), over the original
     pre-pruning variable set, with ``cfg.step5_extra`` known-normal rows
     from the end of the training block.  Each block is smoothed once: the
-    features reuse the blocks the fit and the scoring smoothed.
+    features reuse the blocks the fit and the scoring smoothed.  Files are
+    read in :func:`run_detect`'s order; a raw block is kept where they use it.
     """
     train, test = _resolve_data(cfg)
+    if model is not None or cfg.step5_features == "raw":
+        train = load_matrix(train, cfg.label_column)
     fit_info = None
     if model is None:
         model, fit_info = load_or_fit_model(cfg, train=train)
-    result, score_info = apply_detector(model, test)
+    if cfg.step5_features == "raw":
+        test = load_matrix(test, cfg.label_column)
+    result, score_info = apply_detector(model, load_matrix(test, cfg.label_column))
     if cfg.step5_features == "smoothed":
         feat_test = score_info["smoothed"]
         if fit_info is not None:

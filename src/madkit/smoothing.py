@@ -21,8 +21,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import SeriesMatrix, SmoothConfig
 
-# windows sorted at once by the median: h = 20 makes a 1.25 MiB block
-_MEDIAN_BLOCK = 8192
+# windows sorted at once by the median: h = 20 makes a 640 KiB block
+_MEDIAN_BLOCK = 4096
 
 
 def smooth_series(x: np.ndarray, config: SmoothConfig) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 import json
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from madkit import cli as cli_module
 from madkit.cli import _build_parser, _merge_config, _pipeline_config, main
 from madkit.data import (
     ModelFormatError,
+    SeriesMatrix,
     _read_labels_rows,
     load_csv,
     load_model,
     save_csv,
+    save_model,
 )
 from madkit.metrics import ClusterColumns
 from madkit.pipeline import (
@@ -637,6 +641,60 @@ def test_emit_memory_stays_within_a_block_of_records(tmp_path):
     assert peak < 400 * cli_module._CLUSTER_BLOCK, peak
 
 
+def _random_walk_csvs(tmp_path, n, t):
+    rng = np.random.default_rng(4)
+    paths = []
+    for name in ("train", "test"):
+        noise = rng.standard_normal((2, n, t))
+        values = noise[0].cumsum(axis=1) * 0.01 + noise[1]
+        path = tmp_path / f"{name}.csv"
+        save_csv(SeriesMatrix([f"v{i}" for i in range(n)], values), path)
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 a caller's stack keeps its call arguments alive",
+)
+def test_run_detect_from_files_holds_three_blocks_at_most(tmp_path):
+    # the train file is fitted before the test file is read, and each step
+    # lets go of the block the next no longer needs: the live peak is the
+    # smoothed, centered and one temporary block of vif_prune (~3.2 blocks
+    # here, with the score vectors)
+    n, t = 12, 8000
+    train_csv, test_csv = _random_walk_csvs(tmp_path, n, t)
+    cfg = PipelineConfig(
+        train=train_csv, test=test_csv, smooth=SmoothConfig(h=5, kind="mean")
+    )
+    _, peak = _traced_peak(run_detect, cfg)
+    assert peak < 3.5 * n * t * 8, peak / (n * t * 8)
+
+
+def test_fit_and_apply_give_the_same_bytes_from_a_kept_or_temporary_block(
+    tmp_path,
+):
+    # a caller that keeps its raw blocks gets the same results, and its
+    # blocks back unchanged
+    train_csv, test_csv = _random_walk_csvs(tmp_path, 6, 2000)
+    smooth = SmoothConfig(h=7, kind="median")
+    train, test = load_csv(train_csv)[0], load_csv(test_csv)[0]
+    kept = train.values.copy(), test.values.copy()
+    model, _ = fit_detector(train, smooth)
+    result, _ = apply_detector(model, test)
+    model_t, _ = fit_detector(load_csv(train_csv)[0], smooth)
+    result_t, _ = apply_detector(model_t, load_csv(test_csv)[0])
+    save_model(model, tmp_path / "kept.txt")
+    save_model(model_t, tmp_path / "temporary.txt")
+    assert (tmp_path / "kept.txt").read_bytes() == (
+        tmp_path / "temporary.txt"
+    ).read_bytes()
+    assert result.scores.tobytes() == result_t.scores.tobytes()
+    assert result.flags.tobytes() == result_t.flags.tobytes()
+    assert np.array_equal(train.values, kept[0])
+    assert np.array_equal(test.values, kept[1])
+
+
 def test_cli_score_rejects_reordered_columns(tmp_path, capsys):
     train_csv, test_csv, _ = write_corpus(tmp_path, seed=6)
     model_path = tmp_path / "model.txt"
@@ -1119,6 +1177,64 @@ def test_cli_exit_codes(tmp_path, capsys):
          "--threshold", "pot"]
     ) == EXIT_CODES["threshold"]
     assert "error [threshold]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["missing", "malformed"])
+@pytest.mark.parametrize(
+    "command", ["detect", "explain", "explain-raw", "explain-model"]
+)
+def test_cli_bad_test_file_fails_in_ingest_after_the_fit(
+    tmp_path, capsys, monkeypatch, command, fault
+):
+    # the train file is read and fitted before the test file is read; a bad
+    # test file still fails as an ingest error, and nothing is written
+    import madkit.pipeline
+
+    train_csv, _, _ = write_corpus(tmp_path, seed=9)
+    model_path = tmp_path / "model.txt"
+    assert main(["fit", "--train", str(train_csv), "--out", str(model_path)]) == 0
+    bad = tmp_path / "bad.csv"
+    if fault == "malformed":
+        bad.write_text(
+            "v1,v2,v3,v4,v5,v6\n" + "1.0,2.0,3.0,4.0,5.0,6.0\n" * 30
+            + "1.0,2.0,oops,4.0,5.0,6.0\n",
+            encoding="utf-8",
+        )
+    with pytest.raises((OSError, ValueError)) as cause:
+        load_csv(bad)
+
+    events = []
+    read, fit = madkit.pipeline.load_csv, madkit.pipeline.fit_detector
+
+    def reading(path, *args, **kwargs):
+        events.append(Path(path).name)
+        return read(path, *args, **kwargs)
+
+    def fitting(*args, **kwargs):
+        events.append("fit")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(madkit.pipeline, "load_csv", reading)
+    monkeypatch.setattr(madkit.pipeline, "fit_detector", fitting)
+    outputs = {
+        flag: tmp_path / f"out{flag}"
+        for flag in ("--out", "--model-out", "--scores-out", "--intervals-out")
+    }
+    argv = [command.split("-")[0], "--train", str(train_csv), "--test", str(bad)]
+    argv += ["--out", str(outputs["--out"])]
+    if command == "detect":
+        for flag in ("--model-out", "--scores-out", "--intervals-out"):
+            argv += [flag, str(outputs[flag])]
+    elif command == "explain-raw":
+        argv += ["--step5-features", "raw"]
+    elif command == "explain-model":
+        argv += ["--model", str(model_path)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CODES["ingest"]
+    assert capsys.readouterr().err == f"error [ingest]: {cause.value}\n"
+    fitted = [] if command == "explain-model" else ["fit"]
+    assert events == ["train.csv", *fitted, "bad.csv"]
+    assert not [path for path in outputs.values() if path.exists()]
 
 
 def test_cli_single_file_split(tmp_path):
