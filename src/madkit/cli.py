@@ -290,6 +290,8 @@ _CLUSTER_RECORD = (
 )
 # cluster records _emit renders at once
 _CLUSTER_BLOCK = 1 << 14
+# score rows _write_scores_csv renders at once
+_SCORE_BLOCK = 1 << 12
 
 
 def _emit(payload: dict | list, out: str | None) -> None:
@@ -326,12 +328,16 @@ def _json_pieces(payload: dict | list):
 
 
 def _write_scores_csv(fh, result) -> None:
-    """Write ``timestamp,score,flag`` rows to an open text file."""
-    writer = csv.writer(fh)
-    writer.writerow(["timestamp", "score", "flag"])
-    flags = result.flags
-    for i, s in enumerate(result.scores):
-        writer.writerow([i + result.time_offset, repr(float(s)), int(flags[i])])
+    """Write ``timestamp,score,flag`` rows to ``fh`` as ``csv.writer`` does."""
+    fh.write("timestamp,score,flag\r\n")
+    t0 = result.time_offset
+    for i in range(0, result.scores.size, _SCORE_BLOCK):
+        scores = result.scores[i : i + _SCORE_BLOCK].tolist()
+        rows = [0] * (3 * len(scores))
+        rows[0::3] = range(t0 + i, t0 + i + len(scores))
+        rows[1::3] = scores
+        rows[2::3] = result.flags[i : i + _SCORE_BLOCK].tolist()
+        fh.write("%d,%r,%d\r\n" * len(scores) % tuple(rows))
 
 
 def _write_rows(path, header: list[str], rows) -> None:

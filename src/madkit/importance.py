@@ -232,57 +232,56 @@ def _gini(ones: float, total: float) -> float:
     return 1.0 - p1 * p1 - p0 * p0
 
 
-def _cut_side(sq_ones, zeros, n, n_sq):
+def _cut_side(sq_ones, zeros, n):
     """``n * (1 - (ones**2 + zeros**2) / n**2)`` for one side of every
     cut, given ``ones**2``: the weighted Gini impurity, rounded step by
     step as that expression is, computed in place in ``sq_ones``."""
     sq_ones += np.square(zeros, out=zeros)
-    sq_ones /= n_sq
+    sq_ones /= np.square(n)
     np.subtract(1.0, sq_ones, out=sq_ones)
     sq_ones *= n
     return sq_ones
 
 
-def _best_split(ranks: np.ndarray, y: np.ndarray, ones: int, counts):
-    """Best Gini split of a node's ``(q, s)`` rank block.
+def _best_split(ranks: np.ndarray, w: np.ndarray, yw: np.ndarray, s: int, ones: int):
+    """Best Gini split of a node's ``(q, d)`` rank block.
 
     ``ranks`` holds one C-contiguous row per drawn variable: the dense
-    ranks (see :func:`_dense_ranks`) of the node's ``s`` rows, whose 0/1
-    classes are ``y``, ``ones`` of them 1.  Each row is ordered by a
-    stable argsort of its ranks, which numpy runs as a radix sort on
-    ``uint16``; ranks order rows as their finite values do, so the class
-    counts and Gini sums are the bits a float sort gives.  The arithmetic
-    runs along rows of ``s - 1`` cuts, with row counts sliced from the
-    tree's ``counts``.  Cuts inside a run of tied ranks are excluded; of
-    equal minima the smallest position, then the lowest column, wins.
-    Returns ``(gain, column, pos, order, ones_left)``: the rows
-    ``order[:pos + 1]`` go left, ``ones_left`` of them class 1; or
-    ``None`` when no column admits a split with positive impurity
-    decrease.
+    ranks (see :func:`_dense_ranks`) of the node's ``d`` distinct rows.
+    Row i was drawn ``w[i]`` times, ``yw[i]`` of them class 1; the node
+    holds ``s`` draws, ``ones`` of them class 1.  Each row is ordered by a
+    stable argsort of its ranks, which numpy radix-sorts on ``uint16``;
+    ranks order rows as their finite values do.  A cut's left draw and
+    class-1 counts are cumsums of the sorted ``w`` and ``yw``, exact
+    integers, so every cut gets the Gini bits that a float sort of all
+    ``s`` draws gives it; that sort's cuts between copies of one row are
+    ties, which it excludes, as this excludes cuts inside a run of tied
+    ranks.  Of equal minima the smallest draw position, then the lowest
+    column, wins.  Returns ``(gain, column, i, order, n_left,
+    ones_left)``: the rows ``order[:i + 1]`` go left, with ``n_left``
+    draws, ``ones_left`` of them class 1; or ``None`` when no column
+    admits a split with positive impurity decrease.
     """
-    q, s = ranks.shape
     order = ranks.argsort(axis=1, kind="stable")
     sorted_ranks = np.sort(ranks, axis=1)  # cheaper than gathering by order
-    n_left, sq_left = counts[:2, 1:s]
-    n_right, sq_right = counts[2:, -s:-1]
-    ones_left = y[order[:, :-1]].cumsum(axis=1)
+    n_left = w.take(order[:, :-1]).cumsum(axis=1)
+    ones_left = yw.take(order[:, :-1]).cumsum(axis=1)
+    n_right = s - n_left
     zeros_left = n_left - ones_left
     ones_right = ones - ones_left
     zeros_right = (s - ones) - zeros_left
-    weighted = _cut_side(np.square(ones_left), zeros_left, n_left, sq_left)
-    weighted += _cut_side(
-        np.square(ones_right, out=ones_right), zeros_right, n_right, sq_right
-    )
+    weighted = _cut_side(np.square(ones_left), zeros_left, n_left)
+    weighted += _cut_side(np.square(ones_right, out=ones_right), zeros_right, n_right)
     weighted /= s
-    weighted[sorted_ranks[:, :-1] == sorted_ranks[:, 1:]] = np.inf  # ties
-    pos = weighted.argmin(axis=1)
-    best, pos, col = min(
-        zip(weighted[np.arange(q), pos].tolist(), pos.tolist(), range(q))
-    )
+    np.putmask(weighted, sorted_ranks[:, :-1] == sorted_ranks[:, 1:], np.inf)  # ties
+    q = len(ranks)
+    at = np.arange(q), weighted.argmin(axis=1)
+    best, _, col = min(zip(weighted[at].tolist(), n_left[at].tolist(), range(q)))
     gain = _gini(ones, s) - best
     if not gain > 0.0:  # also when every cut is a tie: best is inf
         return None
-    return gain, col, pos, order[col], int(ones_left[col, pos])
+    i = int(at[1][col])
+    return gain, col, i, order[col], int(n_left[col, i]), int(ones_left[col, i])
 
 
 def _dense_ranks(features: np.ndarray) -> np.ndarray:
@@ -306,63 +305,65 @@ def _grow_tree(
     seed: int,
 ) -> DecisionTree:
     """One tree, grown depth first.  ``features_t`` and ``ranks_t`` are
-    the ``(p, n)`` values and their dense ranks, one row per variable.  A
-    node holds its bootstrap rows, gathers the drawn variables' ranks into
-    one ``(q, s)`` block and reads float values only at the two rows
-    around the chosen cut.  Its children are the two slices of the chosen
-    column's sorted rows, with their row and class-1 counts carried from
-    the split; row order within a node changes no bit, since no cut falls
-    inside a tie and the counts are exact integers.  A child that is a
-    leaf is never pushed: leaves draw no variables, so the rng stream is
-    that of a grower which pops them."""
+    the ``(p, n)`` values and their dense ranks, one row per variable.  The
+    bootstrap is a multiset: each drawn row once, weighted by its draw
+    count ``mult``; a node's row and class-1 counts count draws.  A node
+    holds its distinct rows, gathers the drawn variables' ranks into one
+    ``(q, d)`` block and reads float values only at the two rows around
+    the chosen cut.  Its children are the two slices of the chosen
+    column's sorted rows, with their counts carried from the split; row
+    order within a node changes no bit, since no cut falls inside a tie
+    and the counts are exact integers.  A child that is a leaf is never
+    pushed: leaves draw no variables, so the rng stream is that of a
+    grower which pops them."""
     rng = np.random.default_rng(seed)
     p, n = features_t.shape
     boot = rng.integers(0, n, size=n)
-    oob = np.flatnonzero(np.bincount(boot, minlength=n) == 0)
-    y = targets.astype(np.float64)
-    # a node of s rows slices its cuts' left row counts and their squares
-    # from counts[:2, 1:s], and the right ones from counts[2:, -s:-1]
-    up = np.arange(n + 1, dtype=np.float64)
-    counts = np.stack([up, up * up, up[::-1], (up * up)[::-1]])
+    mult = np.bincount(boot, minlength=n)
+    oob = np.flatnonzero(mult == 0)
+    w = mult.astype(np.float64)
+    yw = w * targets
 
     feat_l, thr_l, left_l, right_l = [], [], [], []
     n_l, c1_l, dec_l = [], [], []
     stack = []
 
-    def new_node(rows, ones, depth):
+    def new_node(rows, s, ones, depth):
         feat_l.append(-1)
         thr_l.append(0.0)
         left_l.append(-1)
         right_l.append(-1)
-        n_l.append(rows.size)
+        n_l.append(s)
         c1_l.append(ones)
         dec_l.append(0.0)
         node_id = len(feat_l) - 1
-        if rows.size > t_min and 0 < ones < rows.size:
-            stack.append((node_id, rows, ones, depth))
+        if s > t_min and 0 < ones < s:
+            stack.append((node_id, rows, s, ones, depth))
         return node_id
 
     max_depth = 0
-    new_node(boot, int(y[boot].sum()), 0)
+    new_node(np.flatnonzero(mult), n, int(yw.sum()), 0)
     while stack:
-        node_id, rows, ones, depth = stack.pop()
+        node_id, rows, s, ones, depth = stack.pop()
         cols = rng.choice(p, size=q, replace=False)
-        split = _best_split(ranks_t[cols].take(rows, axis=1), y[rows], ones, counts)
+        block = ranks_t[cols].take(rows, axis=1)
+        split = _best_split(block, w[rows], yw[rows], s, ones)
         if split is None:
             continue
-        gain, col, pos, order, ones_left = split
+        gain, col, i, order, n_left, ones_left = split
         rows = rows[order]
         feature = int(cols[col])
-        lo, hi = features_t[feature, rows[pos : pos + 2]]
+        lo, hi = features_t[feature, rows[i : i + 2]]
         thr = (lo + hi) / 2.0
         if thr >= hi:  # midpoint rounded up to the right value
             thr = lo
         feat_l[node_id] = feature
         thr_l[node_id] = float(thr)
         dec_l[node_id] = gain
-        max_depth = max(max_depth, depth + 1)
-        left_l[node_id] = new_node(rows[: pos + 1], ones_left, depth + 1)
-        right_l[node_id] = new_node(rows[pos + 1 :], ones - ones_left, depth + 1)
+        depth += 1
+        max_depth = max(max_depth, depth)
+        left_l[node_id] = new_node(rows[: i + 1], n_left, ones_left, depth)
+        right_l[node_id] = new_node(rows[i + 1 :], s - n_left, ones - ones_left, depth)
 
     return DecisionTree(
         feature=np.array(feat_l, dtype=np.int32),
@@ -395,12 +396,15 @@ def train_forest(
     same call rebuilds bit-identical trees regardless of growth order.
 
     Each variable's dense ranks are computed once per forest: ``uint16``
-    up to 65,536 rows, which numpy radix-sorts.  A node sorts and scores
-    the ``(q, s)`` block of its drawn variables' ranks along its rows,
-    reads float values only at the two rows around the chosen cut, and
-    hands its children slices of that column's sorted rows with their
-    counts carried from the split (see :func:`_grow_tree`).  The nodes,
-    draws and tree arrays are the ones a float sort grows.
+    up to 65,536 rows, which numpy radix-sorts.  A tree takes its
+    bootstrap as a multiset, each drawn row once with its draw count, as
+    scikit-learn's forests do (Louppe, arXiv:1407.7502, 2014).  A node
+    sorts and scores the ``(q, d)`` block of its drawn variables' ranks
+    over its ``d`` distinct rows, about 0.63 of its draws, reads float
+    values only at the two rows around the chosen cut, and hands its
+    children slices of that column's sorted rows with their counts
+    carried from the split (see :func:`_grow_tree`).  The nodes, draws
+    and tree arrays are the ones a float sort of every draw grows.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")

@@ -33,7 +33,9 @@ from calibrate import calibrate  # noqa: E402
 # calibration time (see test_forest_time_relative_to_calibration).  On a
 # 2-vCPU VM, 11 runs of the (q, s) rank-block grower read 3.01-3.70, and 11
 # of the grower before it, which worked on (s, q) blocks and gathered float
-# values at every node, read 4.78-6.09.
+# values at every node, read 4.78-6.09.  Growing on distinct bootstrap rows
+# weighted by draw count read 2.08-2.94 in 6 runs, against 3.13-3.60 for
+# the per-draw (q, s) grower in the 6 runs alternating with them.
 FOREST_CALIBRATION_RATIO = 4.3
 
 
@@ -464,6 +466,89 @@ def test_forest_matches_reference_beyond_uint16_ranks():
     assert _dense_ranks(ds.features).dtype.itemsize > 2
     forest = assert_matches_reference(ds, n_trees=1, t_min=5_000, q_features=2)
     assert forest.trees[0].feature.size > 3
+
+
+def _bootstrap_at_nodes(tree, features):
+    """Route the tree's bootstrap draws down its splits: per node, the
+    number of draws and of distinct rows that reach it."""
+    n = tree.n_train
+    boot = np.random.default_rng(tree.seed).integers(0, n, size=n)
+    draws = np.zeros(tree.feature.size, dtype=np.int64)
+    distinct = np.zeros(tree.feature.size, dtype=np.int64)
+    stack = [(0, boot)]
+    while stack:
+        node, rows = stack.pop()
+        draws[node], distinct[node] = rows.size, np.unique(rows).size
+        feat = tree.feature[node]
+        if feat >= 0:
+            go_left = features[rows, feat] <= tree.threshold[node]
+            stack.append((tree.left[node], rows[go_left]))
+            stack.append((tree.right[node], rows[~go_left]))
+    return draws, distinct
+
+
+def assert_counts_add_up(forest):
+    """Each root holds every draw; each split's children partition its
+    draws and class-1 draws."""
+    for t in forest.trees:
+        assert t.n_node[0] == t.n_train
+        split = np.flatnonzero(t.feature >= 0)
+        kids = t.left[split], t.right[split]
+        for counts in (t.n_node, t.count1):
+            assert np.array_equal(counts[kids[0]] + counts[kids[1]], counts[split])
+        assert (t.n_node[kids[0]] > 0).all() and (t.n_node[kids[1]] > 0).all()
+
+
+def test_forest_matches_reference_on_few_vectors_repeated_with_both_classes():
+    # four distinct vectors, each repeated 100 times with both classes among
+    # its copies: a bootstrap draws each vector hundreds of times but holds
+    # at most four distinct feature vectors, and a node left with one
+    # vector has every cut tied, so it stays an impure leaf
+    rng = np.random.default_rng(14)
+    patterns = np.array([[0.0, 2.0, -1.0], [1.0, 2.0, -1.0], [1.0, 3.0, -1.0],
+                         [1.0, 3.0, 5.0]])
+    x = np.repeat(patterns, 100, axis=0)
+    y = (rng.random(400) < np.repeat([0.2, 0.5, 0.7, 0.9], 100)).astype(int)
+    for v in range(4):
+        assert 0 < y[100 * v : 100 * (v + 1)].sum() < 100
+    ds = make_dataset(x, y)
+    forest = assert_matches_reference(ds, n_trees=20, t_min=1, q_features=2)
+    assert_counts_add_up(forest)
+    stuck = 0
+    for t in forest.trees:
+        draws, _ = _bootstrap_at_nodes(t, ds.features)
+        assert np.array_equal(draws, t.n_node)
+        leaves = t.feature < 0
+        impure = (t.count1 > 0) & (t.count1 < t.n_node)
+        stuck += int((leaves & impure & (t.n_node > 1)).sum())
+    assert stuck > 0
+
+
+@pytest.mark.parametrize("t_min", [2, 3, 4, 5, 6])
+def test_forest_matches_reference_with_t_min_near_node_draw_counts(t_min):
+    # 24 rows on three levels per column: nodes hold fewer distinct rows
+    # than draws, and t_min stops some of them exactly at their draw count
+    rng = np.random.default_rng(15)
+    x = rng.integers(0, 3, (24, 4)).astype(np.float64)
+    y = (x[:, 0] + rng.integers(0, 3, 24) > 2).astype(int)
+    ds = make_dataset(x, y)
+    forest = assert_matches_reference(ds, n_trees=30, t_min=t_min, q_features=3)
+    assert_counts_add_up(forest)
+    at = split_above = 0
+    for t in forest.trees:
+        draws, distinct = _bootstrap_at_nodes(t, ds.features)
+        assert np.array_equal(draws, t.n_node)
+        repeated = distinct < draws
+        at += int((repeated & (t.n_node == t_min)).sum())
+        split_above += int(
+            (repeated & (t.n_node == t_min + 1) & (t.feature >= 0)).sum()
+        )
+    assert at > 0 and split_above > 0
+
+
+def test_forest_node_counts_add_up_from_every_draw():
+    forest = train_forest(planted_dataset(seed=2, n=700, p=8), n_trees=10, seed=2)
+    assert_counts_add_up(forest)
 
 
 def test_dense_ranks_share_ties_and_switch_width_past_65536_rows():

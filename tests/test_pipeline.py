@@ -1,9 +1,12 @@
 """End-to-end pipeline runs, reports, and the command-line interface."""
 
+import csv
+import io
 import json
 import math
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -476,6 +479,67 @@ def test_cli_score_matches_detect(tmp_path):
     assert scores_a.read_text(encoding="utf-8") == scores_b.read_text(
         encoding="utf-8"
     )
+
+
+def _scores_csv_oracle(fh, result):
+    """The row-by-row csv.writer code that _write_scores_csv replaced."""
+    writer = csv.writer(fh)
+    writer.writerow(["timestamp", "score", "flag"])
+    flags = result.flags
+    for i, s in enumerate(result.scores):
+        writer.writerow([i + result.time_offset, repr(float(s)), int(flags[i])])
+
+
+def _scores_result(n_rows, seed=0):
+    rng = np.random.default_rng(seed)
+    scores = rng.standard_normal(n_rows) ** 2 * 10.0 ** rng.integers(-3, 4, n_rows)
+    scores[: min(n_rows, 3)] = [0.0, 1e-300, 1.2345678912e8][:n_rows]
+    rng.shuffle(scores)
+    flags = (scores > 5.0).astype(np.int8)
+    return types.SimpleNamespace(scores=scores, flags=flags, time_offset=19)
+
+
+@pytest.mark.parametrize("to", ["file", "stdout"])
+@pytest.mark.parametrize("n_rows", [1, 4096, 4097])
+def test_write_scores_csv_matches_csv_writer(tmp_path, capsys, n_rows, to):
+    # 4,096 rows fill one formatting block; 4,097 spill into a second
+    assert cli_module._SCORE_BLOCK == 4096
+    result = _scores_result(n_rows)
+    want = io.StringIO(newline="")
+    _scores_csv_oracle(want, result)
+    want = want.getvalue().encode()
+    assert want.count(b"\r\n") == n_rows + 1
+    for s in (b",0.0,", b",1e-300,", b",123456789.12,"):
+        assert (s in want) == (n_rows > 1 or s == b",0.0,")
+    if to == "file":
+        path = tmp_path / "scores.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            cli_module._write_scores_csv(fh, result)
+        got = path.read_bytes()
+    else:
+        cli_module._write_scores_csv(sys.stdout, result)
+        got = capsys.readouterr().out.encode()
+    assert got == want
+
+
+def test_cli_score_writes_the_same_bytes_to_stdout_and_out(tmp_path, capsys):
+    train, test, _ = corpus(seed=6, t_test=4100)
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    save_csv(train, train_csv)
+    save_csv(test, test_csv)
+    model_path, out = tmp_path / "model.txt", tmp_path / "scores.csv"
+    assert main(["fit", "--train", str(train_csv), "--out", str(model_path),
+                 "--smooth-window", "3"]) == 0
+    capsys.readouterr()
+    score = ["score", "--model", str(model_path), "--data", str(test_csv)]
+    assert main(score) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert main([*score, "--out", str(out)]) == 0
+    result, _ = apply_detector(load_model(model_path), test)
+    assert result.scores.size == 4098  # two blocks, the second of two rows
+    want = io.StringIO(newline="")
+    _scores_csv_oracle(want, result)
+    assert stdout == out.read_bytes() == want.getvalue().encode()
 
 
 def test_cli_fit_then_score(tmp_path, capsys):
