@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pot-q", type=float)
         p.add_argument("--pot-percentile", type=float)
         p.add_argument("--chi2-alpha", type=float)
-        p.add_argument("--label-column", help="label column to strip from data")
+        p.add_argument("--label-column", help="0/1 label column, checked then stripped")
 
     def add_data_flags(p):
         p.add_argument("--train", help="training CSV")
@@ -172,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="apply a saved model to data")
     p.add_argument("--model", help="model file from fit/detect (required)")
     p.add_argument("--data", help="CSV to score (required)")
-    p.add_argument("--label-column", help="label column to strip from data")
+    p.add_argument("--label-column", help="0/1 label column, checked then stripped")
     add_common(p)
     p.set_defaults(handler=_cmd_score)
 

@@ -249,16 +249,6 @@ def _column_index(header, column, path) -> int:
     return header.index(column)
 
 
-def _check_labels(cells, lines, column, path):
-    """Reject a label cell that is not exactly ``"0"`` or ``"1"``."""
-    for cell, line in zip(cells, lines):
-        if cell not in ("0", "1"):
-            raise CsvFormatError(
-                f"{path}: line {line}, column {column!r}: label "
-                f"must be '0' or '1', got {cell!r}"
-            )
-
-
 def _check_widths(rows, lines, width, path):
     """Reject a row whose field count differs from the header's."""
     for row, line in zip(rows, lines):
@@ -294,23 +284,26 @@ def _parse_cells(rows, lines, names, path):
     return values
 
 
-def _read_body_fast(fh, width: int) -> np.ndarray | None:
-    """Parse the rest of ``fh`` with numpy's C reader.
+def _read_body_fast(fh, usecols: list[int], width: int) -> np.ndarray | None:
+    """Parse columns ``usecols`` of the rest of ``fh`` with numpy's C reader.
 
-    Returns the ``(T, width)`` body, or ``None`` when the csv-module path
-    must decide instead: a cell numpy will not read (quoted, ``1_0``,
+    Returns the ``(T, len(usecols))`` body, or ``None`` when the csv-module
+    path must decide instead: a cell numpy will not read (quoted, ``1_0``,
     Unicode digits, empty), a ragged or empty body, or a non-finite value.
-    Every body this accepts, that path reads to the same bits.
+    Every body this accepts, that path reads to the same bits.  numpy
+    checks row widths only when it reads all ``width`` columns, so a caller
+    that drops one must have checked the widths itself.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "no data"
             values = np.loadtxt(
-                fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2
+                fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+                usecols=None if len(usecols) == width else usecols,
             )
     except ValueError:
         return None
-    if values.shape[0] == 0 or values.shape[1] != width:
+    if values.shape[0] == 0 or values.shape[1] != len(usecols):
         return None
     if not np.isfinite(values).all():
         return None
@@ -337,24 +330,27 @@ def load_csv(
 
     Notes
     -----
-    A file without a label column is first parsed by ``np.loadtxt``.  Any
-    body it does not accept outright, and every file with a label column,
-    goes through the ``csv`` module, which names the offending line and
-    cell.  Error messages give the file's own line numbers, blank lines
-    included.
+    The label column, if any, is read first by :func:`load_labels`, with
+    its checks and messages.  The other columns are parsed by
+    ``np.loadtxt``; a body it does not accept goes through the ``csv``
+    module, which reads it to the same bits or names the offending line
+    and cell.  Error messages give the file's own line numbers, blank
+    lines included.
     """
     path = Path(path)
+    labels = None if label_column is None else load_labels(path, label_column)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = _read_header(reader, path)
-            if label_column is None:
-                values = _read_body_fast(fh, len(header))
-                if values is not None:
-                    return SeriesMatrix(names=header, values=values.T), None
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
+            keep = [c for c, name in enumerate(header) if name != label_column]
+            names = [header[c] for c in keep]
+            values = _read_body_fast(fh, keep, len(header))
+            if values is not None:
+                return SeriesMatrix(names=names, values=values.T), labels
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
             rows, lines = [], []
             for row in reader:
                 if row:
@@ -364,21 +360,10 @@ def load_csv(
             raise _csv_format_error(exc, reader, path) from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    if label_column is not None:
-        li = _column_index(header, label_column, path)
     _check_widths(rows, lines, len(header), path)
-
-    labels = None
-    if label_column is not None:
-        raw = [row[li] for row in rows]
-        _check_labels(raw, lines, label_column, path)
-        labels = np.array(raw, dtype=np.int8)
-        header = header[:li] + header[li + 1 :]
-        rows = [row[:li] + row[li + 1 :] for row in rows]
-
-    values = _parse_cells(rows, lines, header, path)
-    matrix = SeriesMatrix(names=header, values=values.T)
-    return matrix, labels
+    # a label cell is "0" or "1", so it parses and never names an error
+    values = _parse_cells(rows, lines, header, path).take(keep, axis=1)
+    return SeriesMatrix(names=names, values=values.T), labels
 
 
 # bytes of a label file's body that load_labels scans at once
@@ -388,8 +373,9 @@ _LABEL_BLOCK = 1 << 18
 def load_labels(path, column: str) -> np.ndarray:
     """Read the 0/1 column ``column`` of a header-bearing CSV as int8.
 
-    The header, row widths and label cells get :func:`load_csv`'s checks
-    and messages; the other columns are not parsed.
+    This is the one reader of a label column: it checks the header, the
+    row widths and the label cells, and :func:`load_csv` takes its labels,
+    checks and messages from here.  The other columns are not parsed.
 
     A well-formed file is scanned by :func:`_read_labels_bulk` in blocks
     of whole lines, so that beside the labels it holds one block of about
@@ -482,7 +468,8 @@ def _label_cells(raw: bytes, width: int, ci: int, limit: int):
 
 def _read_labels_rows(path, column: str) -> np.ndarray:
     """:func:`load_labels` row by row through the ``csv`` module: the path
-    for every file the bulk reader declines, and its test oracle."""
+    for every file the bulk reader declines, its test oracle, and the one
+    place a label cell is rejected."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -490,13 +477,16 @@ def _read_labels_rows(path, column: str) -> np.ndarray:
             ci = _column_index(header, column, path)
             width = len(header)
             labels = bytearray()
-            # one test per good row; the shared checks run only on a bad one
+            # one test per good row; the checks run only on a bad one
             for row in reader:
                 if len(row) != width or row[ci] not in ("0", "1"):
                     if not row:
                         continue
                     _check_widths([row], [reader.line_num], width, path)
-                    _check_labels([row[ci]], [reader.line_num], column, path)
+                    raise CsvFormatError(
+                        f"{path}: line {reader.line_num}, column {column!r}: "
+                        f"label must be '0' or '1', got {row[ci]!r}"
+                    )
                 labels.append(row[ci] == "1")
         except csv.Error as exc:
             raise _csv_format_error(exc, reader, path) from None

@@ -138,23 +138,14 @@ def _forward_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EigenBasis:
-    """Descending eigenpairs of a scatter matrix with a variance split.
-
-    ``p`` is the smallest index such that the leading eigenvalues explain
-    more than ``alpha`` of total variance; components ``0 .. p-1`` span the
-    leading subspace, the rest the tail.
-    """
+    """Descending eigenpairs of a scatter matrix."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    p: int
-    alpha: float
 
 
-def eigen_basis(fit: ScatterFit, alpha: float = 0.99) -> EigenBasis:
+def eigen_basis(fit: ScatterFit) -> EigenBasis:
     """Eigendecompose ``fit.sigma`` for diagnostics."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
     lam, vec = np.linalg.eigh(fit.sigma)
     lam, vec = lam[::-1].copy(), vec[:, ::-1].copy()
     if lam[-1] <= 0:
@@ -162,6 +153,4 @@ def eigen_basis(fit: ScatterFit, alpha: float = 0.99) -> EigenBasis:
     ortho = vec.T @ vec - np.eye(fit.m)
     if np.abs(ortho).max() > 1e-9:
         raise SingularCovarianceError("eigenvector basis failed orthonormality")
-    fractions = np.cumsum(lam) / lam.sum()
-    p = int(np.argmax(fractions > alpha)) + 1
-    return EigenBasis(eigenvalues=lam, vectors=vec, p=p, alpha=alpha)
+    return EigenBasis(eigenvalues=lam, vectors=vec)

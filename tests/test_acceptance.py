@@ -62,7 +62,7 @@ def test_criterion_01_eigen_and_solve_paths_agree():
         a = rng.standard_normal((m, 3 * m + int(rng.integers(1, 40))))
         centered, _ = center(a)
         fit = fit_scatter(centered)
-        basis = eigen_basis(fit, alpha=0.99)
+        basis = eigen_basis(fit)
         x = rng.standard_normal(m) * float(rng.uniform(0.1, 10.0))
         md2_solve = score(fit, x) ** 2
         xi = basis.vectors.T @ x

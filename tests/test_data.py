@@ -349,6 +349,16 @@ CSV_CORPUS = {
     "label_column_split_off": (
         "a,label,b\n1,0,2\n3,1,4\n", "label", (["a", "b"], [[1, 2], [3, 4]]),
     ),
+    # the label column is read first, so its checks decide: the header
+    # before the body, and the first faulty line
+    "header_only_without_label_column": (
+        "a,b\n", "flag", (CsvFormatError, "no column named 'flag'"),
+    ),
+    "bad_label_before_ragged_row": (
+        "a,flag\n1,2\n3\n", "flag",
+        (CsvFormatError, "line 2, column 'flag': label must be '0' or '1', got '2'"),
+    ),
+    "label_only": ("flag\n0\n1\n", "flag", (ValueError, "need at least one variable")),
 }
 
 
@@ -488,12 +498,41 @@ def _read_outcome(read, path):
         return type(exc), str(exc)
 
 
-def _check_edge_file(tmp_path, case):
+def _load_csv_outcome(path):
+    """``load_csv(path, "flag")`` as its names, the bits, shape and layout
+    of its values and its labels, or as the error it raised."""
+    try:
+        matrix, labels = load_csv(path, label_column="flag")
+    except Exception as exc:
+        return type(exc), str(exc)
+    values = matrix.values
+    return (
+        matrix.names, values.tobytes(), values.shape,
+        values.flags.f_contiguous, labels.dtype, labels.tolist(),
+    )
+
+
+def _check_load_csv(path, want, monkeypatch):
+    """``load_csv(path, "flag")`` gives the row label reader's labels or
+    error ``want``, and the csv-module body reader's matrix or cell error."""
+    got = _load_csv_outcome(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(data_module, "_read_body_fast", lambda *args: None)
+        assert got == _load_csv_outcome(path)
+    if isinstance(want, tuple):
+        assert got == want
+    elif len(got) > 2:
+        assert got[-2:] == (np.int8, want)
+    return len(got) > 2
+
+
+def _check_edge_file(tmp_path, monkeypatch, case):
     data, bulk = LABEL_EDGE_FILES[case]
     path = tmp_path / "labels.csv"
     path.write_bytes(data)
     want = _read_outcome(_read_labels_rows, path)
     assert _read_outcome(load_labels, path) == want
+    _check_load_csv(path, want, monkeypatch)
     # a bad header too is declined, for the row reader to raise
     taken = _read_labels_bulk(io.BytesIO(data), "flag", path) is not None
     assert taken == bulk
@@ -502,8 +541,8 @@ def _check_edge_file(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", sorted(LABEL_EDGE_FILES))
-def test_load_labels_bulk_matches_row_reader(tmp_path, case):
-    _check_edge_file(tmp_path, case)
+def test_load_labels_bulk_matches_row_reader(tmp_path, monkeypatch, case):
+    _check_edge_file(tmp_path, monkeypatch, case)
 
 
 # body blocks so small that lines, the line_at_limit case and multi-byte
@@ -517,13 +556,13 @@ def test_load_labels_bulk_matches_row_reader_across_blocks(
     tmp_path, monkeypatch, case, block
 ):
     monkeypatch.setattr(data_module, "_LABEL_BLOCK", block)
-    _check_edge_file(tmp_path, case)
+    _check_edge_file(tmp_path, monkeypatch, case)
 
 
-def _check_random_files(tmp_path):
+def _check_random_files(tmp_path, monkeypatch):
     rng = np.random.default_rng(20)
     quirks = [b"", b" 0", b"00", b"2", b'"1"', b"1\x00", b"\xff"]
-    taken = declined = 0
+    taken = declined = matrices = 0
     for i in range(300):
         width = int(rng.integers(1, 5))
         label = int(rng.integers(0, width))
@@ -554,15 +593,18 @@ def _check_random_files(tmp_path):
         path.write_bytes(data)
         want = _read_outcome(_read_labels_rows, path)
         assert _read_outcome(load_labels, path) == want, data
+        matrices += _check_load_csv(path, want, monkeypatch)
         accepted = _read_labels_bulk(io.BytesIO(data), "flag", path) is not None
         taken += accepted
         declined += not accepted
-    # both paths ran on a good share of the files
+    # both paths ran on a good share of the files, and load_csv read a
+    # good share to a matrix
     assert taken > 100 and declined > 50, (taken, declined)
+    assert matrices > 50, matrices
 
 
-def test_load_labels_bulk_matches_row_reader_on_random_files(tmp_path):
-    _check_random_files(tmp_path)
+def test_load_labels_bulk_matches_row_reader_on_random_files(tmp_path, monkeypatch):
+    _check_random_files(tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("block", SMALL_LABEL_BLOCKS)
@@ -570,7 +612,7 @@ def test_load_labels_bulk_matches_row_reader_on_random_files_across_blocks(
     tmp_path, monkeypatch, block
 ):
     monkeypatch.setattr(data_module, "_LABEL_BLOCK", block)
-    _check_random_files(tmp_path)
+    _check_random_files(tmp_path, monkeypatch)
 
 
 def test_load_labels_memory_stays_near_the_output_size(tmp_path):
@@ -593,6 +635,44 @@ def test_load_labels_memory_stays_near_the_output_size(tmp_path):
         tracemalloc.stop()
     assert labels.size == n
     assert peak < 2 * labels.nbytes + 8 * data_module._LABEL_BLOCK, peak
+
+
+def test_load_csv_reads_a_well_formed_labelled_file_with_numpy(
+    tmp_path, monkeypatch
+):
+    # what each reader returned, by name; the row reader must not run
+    returned = {}
+
+    def spy(name):
+        real = getattr(data_module, name)
+
+        def call(*args):
+            returned.setdefault(name, []).append(out := real(*args))
+            return out
+
+        monkeypatch.setattr(data_module, name, call)
+
+    for name in ("_read_labels_bulk", "_read_body_fast", "_read_labels_rows"):
+        spy(name)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((50, 3))
+    labels = rng.integers(0, 2, 50)
+    path = tmp_path / "labelled.csv"
+    path.write_text(
+        "a,flag,b,c\n"
+        + "".join(
+            f"{a!r},{f},{b!r},{c!r}\n"
+            for (a, b, c), f in zip(values.tolist(), labels.tolist())
+        ),
+        encoding="utf-8",
+    )
+    matrix, got = load_csv(path, label_column="flag")
+    assert [type(out) for out in returned.pop("_read_labels_bulk")] == [np.ndarray]
+    assert [type(out) for out in returned.pop("_read_body_fast")] == [np.ndarray]
+    assert returned == {}
+    assert matrix.names == ["a", "b", "c"]
+    assert np.array_equal(matrix.values, values.T)
+    assert got.tolist() == labels.tolist()
 
 
 def test_csv_reals_keep_every_bit(tmp_path):

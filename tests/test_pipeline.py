@@ -481,6 +481,72 @@ def test_cli_score_matches_detect(tmp_path):
     )
 
 
+def _insert_label_column(src, dst, labels, line=None):
+    """Copy CSV ``src`` to ``dst`` with a column ``label`` of ``labels``
+    second from the left and ``\\n`` line endings; ``line`` (the file's
+    line number) gets the label ``2``."""
+    cells = ["label", *map(str, labels)]
+    if line is not None:
+        cells[line - 1] = "2"
+    rows = [row.split(",") for row in src.read_text(encoding="utf-8").splitlines()]
+    for row, cell in zip(rows, cells, strict=True):
+        row.insert(1, cell)
+    dst.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def test_cli_label_column_is_checked_then_stripped(tmp_path, monkeypatch, capsys):
+    # the same relative file names in two folders, so that the reports'
+    # config blocks agree too
+    train_csv, test_csv, truth_csv = write_corpus(tmp_path, seed=4)
+    truth = np.loadtxt(truth_csv, skiprows=1, dtype=np.int8)
+    train_labels = np.random.default_rng(4).integers(0, 2, 3000)
+    plain, labelled = tmp_path / "plain", tmp_path / "labelled"
+    for folder in (plain, labelled):
+        folder.mkdir()
+    (plain / "train.csv").write_bytes(train_csv.read_bytes())
+    (plain / "test.csv").write_bytes(test_csv.read_bytes())
+    _insert_label_column(train_csv, labelled / "train.csv", train_labels)
+    _insert_label_column(test_csv, labelled / "test.csv", truth)
+    outputs = ("report.json", "scores.csv", "intervals.csv", "model.txt",
+               "explain.json", "score.csv")
+    for folder, extra in ((plain, []), (labelled, ["--label-column", "label"])):
+        monkeypatch.chdir(folder)
+        data = ["--train", "train.csv", "--test", "test.csv", *extra]
+        assert main([
+            "detect", *data, "--out", "report.json", "--scores-out",
+            "scores.csv", "--intervals-out", "intervals.csv",
+            "--model-out", "model.txt",
+        ]) == 0
+        assert main([
+            "explain", *data, "--importance", "both", "--rf-trees", "20",
+            "--out", "explain.json",
+        ]) == 0
+        assert main([
+            "score", "--model", "model.txt", "--data", "test.csv", *extra,
+            "--out", "score.csv",
+        ]) == 0
+    for name in outputs:
+        got, want = (labelled / name).read_bytes(), (plain / name).read_bytes()
+        if name == "report.json":
+            got, want = (
+                json.dumps(report_core(json.loads(raw)), sort_keys=True)
+                for raw in (got, want)
+            )
+        assert got == want, name
+    # a label cell other than 0/1 fails in ingest, located in the file
+    _insert_label_column(test_csv, labelled / "bad.csv", truth, line=7)
+    monkeypatch.chdir(labelled)
+    capsys.readouterr()
+    assert main([
+        "detect", "--train", "train.csv", "--test", "bad.csv",
+        "--label-column", "label",
+    ]) == EXIT_CODES["ingest"]
+    assert capsys.readouterr().err == (
+        "error [ingest]: bad.csv: line 7, column 'label': "
+        "label must be '0' or '1', got '2'\n"
+    )
+
+
 def _scores_csv_oracle(fh, result):
     """The row-by-row csv.writer code that _write_scores_csv replaced."""
     writer = csv.writer(fh)

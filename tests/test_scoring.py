@@ -177,7 +177,7 @@ def test_eigen_identity_squared_score():
         a = rng.standard_normal((m, 4 * m))
         centered, _ = center(a)
         fit = fit_scatter(centered)
-        basis = eigen_basis(fit, alpha=0.9)
+        basis = eigen_basis(fit)
         x = rng.standard_normal(m)
         xi = basis.vectors.T @ x
         via_eigen = float((xi * xi / basis.eigenvalues).sum())
@@ -189,22 +189,9 @@ def test_eigen_basis_properties():
     rng = np.random.default_rng(8)
     centered, _ = center(rng.standard_normal((5, 200)))
     fit = fit_scatter(centered)
-    basis = eigen_basis(fit, alpha=0.8)
+    basis = eigen_basis(fit)
     lam, vec = basis.eigenvalues, basis.vectors
     assert (np.diff(lam) <= 1e-12).all()  # descending
     assert lam[-1] > 0
     assert np.abs(vec.T @ vec - np.eye(5)).max() < 1e-9
     assert np.allclose((vec * lam) @ vec.T, fit.sigma, atol=1e-10)
-    # p is minimal for the variance fraction rule
-    fractions = np.cumsum(lam) / lam.sum()
-    assert fractions[basis.p - 1] > 0.8
-    assert basis.p == 1 or fractions[basis.p - 2] <= 0.8
-
-
-def test_eigen_alpha_validation():
-    rng = np.random.default_rng(9)
-    centered, _ = center(rng.standard_normal((3, 50)))
-    fit = fit_scatter(centered)
-    for bad in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ValueError, match="alpha"):
-            eigen_basis(fit, alpha=bad)
