@@ -282,14 +282,31 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 # _emit's placeholder, a "clusters" member set to "\0", as json.dumps
-# writes it, and one cluster record as json.dumps(indent=2) lays it out in
-# a list that is a top-level member
+# writes it
 _CLUSTERS_SPLICE = '"clusters": "\\u0000"'
-_CLUSTER_RECORD = (
-    '    {\n      "start": %d,\n      "end": %d,\n      "length": %d\n    }'
+# one cluster record as json.dumps(indent=2) lays it out in a list that is
+# a top-level member, led by the ",\n" that parts it from the one before:
+# the text around its start, end and length
+_RECORD_PARTS = (
+    b',\n    {\n      "start": ', b',\n      "end": ', b',\n      "length": ',
+    b"\n    }",
 )
+# a non-negative int64 has one digit more than the powers here it reaches
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+# _DIGIT_WORDS[v]: the four ASCII digits of v < 10**4, zero-padded, as one
+# native uint32; _KEEP_WORDS[j, d]: the mask, as one uint32 of four bools,
+# of the digits of a d-digit number that fall in its j-th word from the right
+_DIGIT_WORDS = (
+    (np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0"))
+    .copy().view(np.uint32).ravel()  # row v of the indices: v's digits
+)
+_KEEP_WORDS = (
+    np.arange(4) >= 4 - np.clip(
+        np.arange(20) - 4 * np.arange(5)[:, None], 0, 4
+    )[..., None]
+).view(np.uint32)[..., 0]
 # cluster records _emit renders at once
-_CLUSTER_BLOCK = 1 << 14
+_CLUSTER_BLOCK = 1 << 13
 # score rows _write_scores_csv renders at once
 _SCORE_BLOCK = 1 << 12
 
@@ -299,32 +316,77 @@ def _emit(payload: dict | list, out: str | None) -> None:
     to the file ``out``, or to stdout, piece by piece (:func:`_json_pieces`)."""
     pieces = _json_pieces(payload)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "wb") as fh:
             fh.writelines(pieces)
     else:
-        sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # text printed before goes first
+        sys.stdout.buffer.writelines(pieces)
 
 
 def _json_pieces(payload: dict | list):
-    """``json.dumps(payload, indent=2) + "\\n"`` in pieces.  A ``clusters``
-    member holding :class:`ClusterColumns` is dumped as a placeholder, and
-    the list of its ``{"start", "end", "length"}`` records is rendered in
-    its place from the columns, ``_CLUSTER_BLOCK`` records at a time."""
+    """``json.dumps(payload, indent=2) + "\\n"`` as ASCII bytes, in pieces.
+    A ``clusters`` member holding :class:`ClusterColumns` is dumped as a
+    placeholder, and the list of its ``{"start", "end", "length"}`` records
+    is rendered in its place from the columns (:func:`_cluster_records`)."""
     clusters = payload.get("clusters") if isinstance(payload, dict) else None
     if not isinstance(clusters, ClusterColumns):
-        yield json.dumps(payload, indent=2) + "\n"
+        yield (json.dumps(payload, indent=2) + "\n").encode()
         return
     text = json.dumps({**payload, "clusters": "\0"}, indent=2)
     head, tail = text.split(_CLUSTERS_SPLICE, 1)
-    yield head + '"clusters": ['
-    sep = "\n"
+    yield (head + '"clusters": [').encode()
+    yield from _cluster_records(clusters)
+    yield (("\n  ]" if clusters else "]") + tail + "\n").encode()
+
+
+def _cluster_records(clusters: ClusterColumns):
+    """The records of ``clusters`` as ``json.dumps`` lays them out in
+    :func:`_json_pieces`, ``_CLUSTER_BLOCK`` at a time, each block a
+    ``uint8`` array.  A block is drawn as a grid of one row per record,
+    its numbers in slots of whole words that fit the block's widest, and
+    the unused slots and padding are then dropped; the grid's buffers are
+    reused from block to block.  A negative value raises ``ValueError``."""
+    grid = keep = np.empty(0, dtype=np.uint32)
     for i in range(0, len(clusters), _CLUSTER_BLOCK):
         block = clusters[i : i + _CLUSTER_BLOCK]
-        table = np.column_stack((block.starts, block.ends, block.lengths))
-        records = ",\n".join([_CLUSTER_RECORD] * len(block))
-        yield sep + records % tuple(table.ravel().tolist())
-        sep = ",\n"
-    yield ("\n  ]" if clusters else "]") + tail + "\n"
+        columns = (block.starts, block.ends, block.lengths)
+        if min(column.min() for column in columns) < 0:
+            raise ValueError("cluster starts, ends and lengths must be >= 0")
+        digits = [1 + np.searchsorted(_POWERS_OF_TEN, c, "right") for c in columns]
+        words = [(int(d.max()) + 3) // 4 for d in digits]
+        row, row_keep, slots = _record_layout(words)
+        shape = (len(block), len(row) // 4)
+        if grid.size < shape[0] * shape[1]:  # wider rows than any before
+            grid = np.empty(shape[0] * shape[1], dtype=np.uint32)
+            keep = np.empty_like(grid)
+        cells = grid[: shape[0] * shape[1]].reshape(shape)
+        kept = keep[: shape[0] * shape[1]].reshape(shape)
+        cells[:] = np.frombuffer(row, dtype=np.uint32)
+        kept[:] = np.frombuffer(row_keep, dtype=np.uint32)
+        for q, d, slot, n_words in zip(columns, digits, slots, words):
+            for j in range(n_words):  # from the last word to the first
+                at = slot + n_words - 1 - j
+                rest = q // 10**4  # faster than divmod
+                cells[:, at] = _DIGIT_WORDS[q - rest * 10**4]
+                kept[:, at] = _KEEP_WORDS[j, d]
+                q = rest
+        mask = kept.view(bool)
+        mask[0, 0] = i > 0  # the first record has no comma before it
+        yield cells.view(np.uint8)[mask]
+
+
+def _record_layout(words) -> tuple[bytes, bytes, list[int]]:
+    """One grid row for records whose start, end and length take
+    ``words`` words of four digits: its bytes, zero in the digit slots; its
+    keep mask, ``1`` for the fixed text; and the word index of each slot.
+    Padding before a slot aligns it to a word, and the row to a word."""
+    row, keep, slots = b"", b"", []
+    for part, n_words in zip(_RECORD_PARTS, (*words, 0)):
+        pad = -(len(row) + len(part)) % 4
+        row += part + b"\0" * pad + b"0" * 4 * n_words
+        keep += b"\1" * len(part) + b"\0" * (pad + 4 * n_words)
+        slots.append(len(row) // 4 - n_words)
+    return row, keep, slots
 
 
 def _write_scores_csv(fh, result) -> None:

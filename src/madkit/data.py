@@ -116,7 +116,11 @@ def as_labels(vec, what: str = "labels") -> np.ndarray:
     arr = np.asarray(vec)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be 1-D")
-    if not ((arr == 0) | (arr == 1)).all():
+    if arr.dtype.kind in "biu":  # two reductions, no temporaries
+        binary = arr.size == 0 or (arr.min() >= 0 and arr.max() <= 1)
+    else:
+        binary = ((arr == 0) | (arr == 1)).all()
+    if not binary:
         raise ValueError(f"{what} must contain only 0 and 1")
     return arr.astype(np.int8, copy=False)
 
@@ -366,8 +370,11 @@ def load_csv(
     return SeriesMatrix(names=names, values=values.T), labels
 
 
-# bytes of a label file's body that load_labels scans at once
+# bytes of a label file's body that load_labels reads at once
 _LABEL_BLOCK = 1 << 18
+# entries of a per-line index array that _label_cells may build (64 KiB of
+# intp), small enough for malloc to serve from its heap, not a fresh mapping
+_LABEL_ROWS = 1 << 13
 
 
 def load_labels(path, column: str) -> np.ndarray:
@@ -378,10 +385,12 @@ def load_labels(path, column: str) -> np.ndarray:
     checks and messages from here.  The other columns are not parsed.
 
     A well-formed file is scanned by :func:`_read_labels_bulk` in blocks
-    of whole lines, so that beside the labels it holds one block of about
-    ``_LABEL_BLOCK`` bytes and the line that ends it.  Any other file (a
-    bad header, a ragged row, a label cell other than ``0``/``1``, no data
-    rows, a quote, carriage return or NUL byte, invalid UTF-8, a line over
+    of whole lines, so that beside the labels it holds one reused buffer
+    of about ``2 * _LABEL_BLOCK`` bytes, a mask as long, and index arrays
+    of at most ``_LABEL_ROWS`` entries.  Lines may end in ``\\n`` or
+    ``\\r\\n``.  Any other file (a bad header, a ragged row, a label cell
+    other than ``0``/``1``, no data rows, a quote or NUL byte, a ``\\r``
+    not followed by ``\\n``, invalid UTF-8, a line over
     ``csv.field_size_limit()``) goes to the row-by-row reader,
     :func:`_read_labels_rows`, which raises the error with the file's own
     line number.
@@ -396,14 +405,17 @@ def _read_labels_bulk(fh, column: str, path) -> np.ndarray | None:
     """The labels in binary file ``fh``, or ``None`` unless the header is
     good, every non-blank body line has the header's field count, every
     label cell is the one byte ``0`` or ``1``, there is at least one, and
-    the csv module would split each line at its commas alone (no quote,
-    ``\\r`` or NUL byte, valid UTF-8, no line over the field size limit).
-    The csv module reads those files to the same labels.  The body is read
-    ``_LABEL_BLOCK`` bytes at a time, completed to the end of a line, and
-    checked block by block (exact, as no UTF-8 sequence holds a ``\\n``)."""
+    the csv module would split each line at its commas alone (no quote or
+    NUL byte, no ``\\r`` but in a ``\\r\\n`` line end, valid UTF-8, no line
+    over the field size limit).  The csv module reads those files to the
+    same labels.  The body is read ``_LABEL_BLOCK`` bytes at a time into
+    one buffer, completed to the end of a line, and checked block by block
+    (exact, as no UTF-8 sequence holds a ``\\n``)."""
     limit = csv.field_size_limit()
-    line = fh.readline(limit + 1).rstrip(b"\n")
-    if len(line) > limit or not _plain_text(line):
+    # limit + 2 bytes hold a line of limit bytes and its \r\n; a line cut
+    # off there fails the length check or ends in a lone \r
+    line = fh.readline(limit + 2).removesuffix(b"\n").removesuffix(b"\r")
+    if len(line) > limit or b"\r" in line or not _plain_text(line, len(line)):
         return None
     try:
         header = _read_header(csv.reader([line.decode("utf-8")]), path)
@@ -411,44 +423,91 @@ def _read_labels_bulk(fh, column: str, path) -> np.ndarray | None:
     except CsvFormatError:
         return None  # the row reader raises it, or meets a fault first
     labels = bytearray()
-    while block := fh.read(_LABEL_BLOCK):
-        # a line cut off after limit + 1 bytes fails the length check
-        block += fh.readline(limit + 1)
-        cells = _label_cells(block, len(header), ci, limit)
-        if cells is None:
+    buf = bytearray(2 * _LABEL_BLOCK)
+    mask = np.empty(len(buf), dtype=bool)
+    while n := fh.readinto(memoryview(buf)[:_LABEL_BLOCK]):
+        tail = fh.readline(limit + 2)
+        if n + len(tail) > len(buf):  # a line longer than the block
+            buf.extend(bytes(n + len(tail) - len(buf)))
+            mask = np.empty(len(buf), dtype=bool)
+        buf[n : n + len(tail)] = tail
+        n += len(tail)
+        if not _plain_text(buf, n) or not _label_block(
+            buf, n, mask, len(header), ci, limit, labels
+        ):
             return None
-        labels += cells.tobytes()
     return np.frombuffer(labels, dtype=np.int8) if labels else None
 
 
-def _plain_text(raw: bytes) -> bool:
-    """Whether ``raw`` is UTF-8 with no quote, ``\\r`` or NUL byte."""
-    if b'"' in raw or b"\r" in raw or b"\0" in raw:
+def _plain_text(raw, n: int) -> bool:
+    """Whether ``raw[:n]`` is UTF-8 with no quote or NUL byte."""
+    if raw.find(b'"', 0, n) >= 0 or raw.find(b"\0", 0, n) >= 0:
         return False
-    if not raw.isascii():
+    if n and np.frombuffer(raw, np.uint8, n).max() >= 0x80:
         try:
-            raw.decode("utf-8")
+            str(memoryview(raw)[:n], "utf-8")
         except UnicodeDecodeError:
             return False
     return True
 
 
-def _label_cells(raw: bytes, width: int, ci: int, limit: int):
-    """``label == 1`` for each non-blank line of ``raw``, whole lines of a
-    file body, or ``None`` unless all pass :func:`_read_labels_bulk`'s checks."""
-    if not _plain_text(raw):
-        return None
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], newlines + 1))
-    ends = np.append(newlines, buf.size)
+def _label_block(buf, n, mask, width, ci, limit, labels) -> bool:
+    """Append ``label == 1`` for each non-blank line of ``buf[:n]``, whole
+    lines of a file body, to ``labels``; ``False`` unless every line passes
+    :func:`_read_labels_bulk`'s checks.  The lines go to :func:`_label_cells`
+    in runs of at most ``most`` newlines, so that no index array it builds
+    has more than ``_LABEL_ROWS`` entries."""
+    view = np.frombuffer(buf, np.uint8, n)
+    crlf = buf.find(b"\r", 0, n) >= 0
+    most = max(1, _LABEL_ROWS // max(1, width - 1) - 1)
+    lo, size = 0, n
+    while lo < n:
+        # the lines that end in the next size bytes, or else the next line
+        hi = n if lo + size >= n else (
+            buf.rfind(b"\n", lo, lo + size) + 1
+            or buf.find(b"\n", lo + size, n) + 1
+            or n
+        )
+        newlines = np.equal(view[lo:hi], ord("\n"), out=mask[: hi - lo])
+        lines = np.count_nonzero(newlines)
+        if lines > most:
+            size = (hi - lo) * most // lines
+            continue
+        cells = _label_cells(view[lo:hi], newlines, width, ci, limit, crlf)
+        if cells is None:
+            return False
+        labels += memoryview(cells)
+        lo = hi
+    return True
+
+
+def _label_cells(raw, newlines, width: int, ci: int, limit: int, crlf: bool):
+    """``label == 1`` for each non-blank line of ``raw``, a ``uint8`` array
+    of whole lines of a file body, or ``None`` unless all pass
+    :func:`_read_labels_bulk`'s checks.  ``newlines`` is the mask
+    ``raw == "\\n"``; it is overwritten.  ``crlf`` tells whether ``raw``
+    may hold a ``\\r``."""
+    ends = np.flatnonzero(newlines)
+    starts = np.concatenate(([0], ends + 1))
+    if crlf:
+        # raw ends in a \n or at the end of the file, so raw[-1] is read
+        # for a line end at 0 only when it is no \r
+        if raw[-1] == ord("\r"):
+            return None
+        cr = raw[ends - 1] == ord("\r")
+        if np.count_nonzero(cr) != np.count_nonzero(
+            np.equal(raw, ord("\r"), out=newlines)
+        ):
+            return None  # a \r that no \n follows
+        ends -= cr
+    ends = np.append(ends, raw.size)
     if (ends - starts).max() > limit:
         return None
     body = ends > starts  # blank lines are skipped
     starts, ends = starts[body], ends[body]
     # row r must hold the r-th block of width - 1 commas, and then it
     # holds no others
-    commas = np.flatnonzero(buf == ord(","))
+    commas = np.flatnonzero(np.equal(raw, ord(","), out=newlines))
     if commas.size != starts.size * (width - 1):
         return None
     commas = commas.reshape(starts.size, width - 1)
@@ -458,7 +517,7 @@ def _label_cells(raw: bytes, width: int, ci: int, limit: int):
         return None
     cell_starts = commas[:, ci - 1] + 1 if ci > 0 else starts
     cell_ends = commas[:, ci] if ci < width - 1 else ends
-    cells = buf[cell_ends - 1]  # in range also where a cell is empty
+    cells = raw[cell_ends - 1]  # in range also where a cell is empty
     if (cell_ends - cell_starts != 1).any() or (
         (cells != ord("0")) & (cells != ord("1"))
     ).any():

@@ -128,8 +128,10 @@ def extract_clusters(truth, min_length: int = 1) -> ClusterColumns:
     edges = np.diff(padded)
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
-    keep = ends - starts + 1 >= min_length
-    return ClusterColumns(starts[keep], ends[keep])
+    if min_length > 1:  # every run is at least 1 long
+        keep = ends - starts + 1 >= min_length
+        starts, ends = starts[keep], ends[keep]
+    return ClusterColumns(starts, ends)
 
 
 def ric(pred, clusters: ClusterColumns) -> float:
@@ -144,10 +146,12 @@ def ric(pred, clusters: ClusterColumns) -> float:
     starts, ends = clusters.starts, clusters.ends
     if ends.max() >= p.size:
         raise ValueError("prediction vector does not cover the clusters")
-    # cs[i] counts the positives in p[:i], so a cluster is hit when
-    # cs[end + 1] - cs[start] > 0; int32 holds any count below 2**31
-    cs = np.zeros(p.size + 1, dtype=np.int32 if p.size < 2**31 else np.int64)
+    # cs[i] counts the positives in p[:i] modulo 2**bits, so a cluster is
+    # hit when cs[end + 1] - cs[start] > 0, also modulo 2**bits: exact in
+    # the narrowest unsigned type that holds the longest cluster's length
+    longest = int(clusters.lengths.max())
+    cs = np.zeros(p.size + 1, dtype=np.min_scalar_type(longest))
     cs[1:] = p
-    np.cumsum(cs[1:], out=cs[1:])  # in place: a cast from int8 would copy
-    hit = int(np.count_nonzero(cs[ends + 1] - cs[starts] > 0))
+    np.cumsum(cs[1:], dtype=cs.dtype, out=cs[1:])  # in place, wrapping
+    hit = int(np.count_nonzero(cs[1:][ends] - cs[starts] > 0))
     return hit / len(clusters)

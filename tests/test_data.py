@@ -447,8 +447,19 @@ LABEL_EDGE_FILES = {
     "two": (b"a,flag\n1,2\n", False),
     "empty_cell": (b"a,flag\n1,\n", False),
     "space_line": (b"flag\n1\n \n0\n", False),
-    "crlf": (b"a,flag\r\n1,1\r\n\r\n2,0\r\n", False),
+    "crlf": (b"a,flag\r\n1,1\r\n\r\n2,0\r\n", True),
+    "crlf_blank_lines": (b"a,flag\r\n\r\n\r\n1,1\r\n\r\n\r\n2,0\r\n", True),
+    "crlf_header_lf_body": (b"a,flag\r\n1,1\n2,0\n", True),
+    "crlf_label_first": (b"flag,a\r\n1,2\r\n0,\r\n", True),
+    "mixed_line_ends": (b"a,flag\n1,1\r\n2,0\n\r\n3,1\r\n", True),
     "bare_cr": (b"a,flag\r1,1\r2,0\r", False),
+    "cr_in_cell": (b"a,flag\n1\r2,1\n", False),
+    "cr_in_label_cell": (b"a,flag\n1,1\r\n2,0\r3\n", False),
+    "cr_in_header": (b"a\r,flag\n1,1\n", False),
+    "cr_last_byte": (b"a,flag\n1,1\n2,0\r", False),
+    "cr_last_byte_after_blank_line": (b"flag,a\n\n1,0\r", False),
+    "cr_before_crlf": (b"a,flag\n1,1\r\r\n", False),
+    "header_only_crlf": (b"a,flag\r\n", False),
     "quoted_comma": (b'a,flag\n"1,5",1\n2,0\n', False),
     "quoted_label": (b'a,flag\n1,"1"\n', False),
     "nul_byte": (b"a,flag\n1\x00,0\n", False),
@@ -458,6 +469,12 @@ LABEL_EDGE_FILES = {
     ),
     "line_at_limit": (
         b"a,flag\n" + b"x" * (_FIELD_LIMIT - 2) + b",1\n", True
+    ),
+    "crlf_line_at_limit": (
+        b"a,flag\r\n" + b"x" * (_FIELD_LIMIT - 2) + b",1\r\n", True
+    ),
+    "crlf_line_over_limit": (
+        b"a,flag\r\n" + b"x" * (_FIELD_LIMIT - 1) + b",1\r\n", False
     ),
     "empty_label_at_end": (b"a,flag\n1,0\n1,", False),
 }
@@ -630,6 +647,27 @@ def test_load_labels_memory_stays_near_the_output_size(tmp_path):
     tracemalloc.start()
     try:
         labels = load_labels(path, "flag")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels.size == n
+    assert peak < 2 * labels.nbytes + 8 * data_module._LABEL_BLOCK, peak
+
+
+def test_load_labels_memory_on_short_lines_stays_near_the_output_size(tmp_path):
+    # 2-byte lines: the per-line index arrays, not the block, would
+    # dominate if a block were bounded in bytes alone
+    n = 200_000
+    rng = np.random.default_rng(9)
+    path = tmp_path / "truth.csv"
+    path.write_bytes(
+        b"label\n" + b"".join(b"%d\n" % v for v in rng.integers(0, 2, n).tolist())
+    )
+    with open(path, "rb") as fh:
+        assert _read_labels_bulk(fh, "label", path) is not None
+    tracemalloc.start()
+    try:
+        labels = load_labels(path, "label")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

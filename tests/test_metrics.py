@@ -208,6 +208,23 @@ def test_ric_matches_brute_force():
         assert ric(pred.astype(np.int8), clusters) == covered / len(runs)
 
 
+@pytest.mark.parametrize("longest", [1, 255, 256, 65535, 65536])
+def test_ric_counts_exactly_in_its_narrow_prefix_sums(longest):
+    # the prefix counts wrap modulo a power of two no smaller than the
+    # longest cluster: a cluster whose positives number a multiple of
+    # 256 or 65,536 is still hit, and one without any is not
+    truth = np.zeros(3 * longest + 3, dtype=np.int8)
+    truth[1 : longest + 1] = 1  # positives all through
+    truth[longest + 2 : 2 * longest + 2] = 1  # no positive
+    truth[2 * longest + 3 :] = 1  # a positive at its end only
+    pred = np.zeros_like(truth)
+    pred[: longest + 2] = 1
+    pred[-1] = 1
+    clusters = extract_clusters(truth)
+    assert [c.length for c in clusters] == [longest] * 3
+    assert ric(pred, clusters) == 2 / 3
+
+
 def test_ric_hits_at_the_vector_ends():
     truth = np.array([1, 1, 0, 0, 1])
     clusters = extract_clusters(truth)

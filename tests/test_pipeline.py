@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from madkit import cli as cli_module
+from madkit import data as data_module
 from madkit.cli import _build_parser, _merge_config, _pipeline_config, main
 from madkit.data import (
     ModelFormatError,
@@ -637,6 +638,35 @@ def test_cli_evaluate(tmp_path):
     assert block["ric"] == 1.0
 
 
+def test_cli_evaluate_reads_detect_scores_on_the_bulk_path(tmp_path, monkeypatch):
+    # detect writes \r\n line ends; evaluate reads them without the row
+    # reader, to the report the row reader's labels give
+    train_csv, test_csv, truth_csv = write_corpus(tmp_path, seed=3)
+    scores_path = tmp_path / "scores.csv"
+    eval_path = tmp_path / "eval.json"
+    assert main([
+        "detect", "--train", str(train_csv), "--test", str(test_csv),
+        "--scores-out", str(scores_path), "--out", str(tmp_path / "r.json"),
+    ]) == 0
+    assert b"\r\n" in scores_path.read_bytes()
+    want = run_evaluate(
+        _read_labels_rows(scores_path, "flag"),
+        _read_labels_rows(truth_csv, "label"),
+        1,
+    )
+    want["clusters"] = [c._asdict() for c in want["clusters"]]
+    calls = []
+    monkeypatch.setattr(
+        data_module, "_read_labels_rows", lambda *args: calls.append(args)
+    )
+    assert main([
+        "evaluate", "--pred", str(scores_path), "--truth", str(truth_csv),
+        "--out", str(eval_path),
+    ]) == 0
+    assert calls == []
+    assert eval_path.read_text(encoding="utf-8") == json.dumps(want, indent=2) + "\n"
+
+
 def fragmented_labels(n, seed):
     """Truth of short runs (gaps of mean 3, runs of mean 2) and a prediction
     that flips 15% of it, as in the evaluate benchmark's inputs."""
@@ -769,6 +799,69 @@ def test_emit_memory_stays_within_a_block_of_records(tmp_path):
     _, peak = _traced_peak(cli_module._emit, payload, str(out))
     assert out.stat().st_size > 70 * n
     assert peak < 400 * cli_module._CLUSTER_BLOCK, peak
+
+
+def _boundary_clusters():
+    """Clusters whose starts, ends and lengths take the values at every
+    power-of-ten boundary up to ``2**63 - 1``, mixed in one list."""
+    top = 2**63 - 1
+    values = sorted(
+        {0, 1, top - 1, top}
+        | {10**k + d for k in range(1, 19) for d in (-1, 0, 1)}
+    )
+    starts, ends = [], []
+    for v in values:
+        starts += [v, 1, max(v, 1)]
+        ends += [v, max(v, 1), top]  # lengths 1, v and 2**63 - v
+    return ClusterColumns(np.array(starts), np.array(ends))
+
+
+def _spaced_clusters(n):
+    starts = np.arange(n, dtype=np.int64) * 3
+    return ClusterColumns(starts, starts + 1)
+
+
+RENDER_CASES = {
+    "boundaries": _boundary_clusters,
+    "one": lambda: ClusterColumns(np.array([5]), np.array([7])),
+    "none": lambda: ClusterColumns(np.empty(0, np.int64), np.empty(0, np.int64)),
+    "one_block": lambda: _spaced_clusters(cli_module._CLUSTER_BLOCK),
+    "one_block_and_one": lambda: _spaced_clusters(cli_module._CLUSTER_BLOCK + 1),
+}
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("to", ["file", "stdout"])
+@pytest.mark.parametrize("case", sorted(RENDER_CASES))
+def test_emit_renders_clusters_as_json_dumps(
+    tmp_path, capsys, monkeypatch, case, to, block
+):
+    if block is not None:
+        monkeypatch.setattr(cli_module, "_CLUSTER_BLOCK", block)
+    clusters = RENDER_CASES[case]()
+    payload = {"ric": 0.5, "clusters": clusters, "n": len(clusters)}
+    want = json.dumps(
+        {**payload, "clusters": [c._asdict() for c in clusters]}, indent=2
+    ) + "\n"
+    if to == "file":
+        out = tmp_path / "report.json"
+        cli_module._emit(payload, str(out))
+        got = out.read_bytes().decode("ascii")
+    else:
+        print("before", end=" ")  # text printed first stays first
+        cli_module._emit(payload, None)
+        got = capsys.readouterr().out.removeprefix("before ")
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "starts, ends", [([-1], [3]), ([2, -5], [4, -5]), ([0], [-1])]
+)
+def test_emit_refuses_negative_cluster_values(tmp_path, starts, ends):
+    # extract_clusters never returns one; it is refused, not misrendered
+    payload = {"clusters": ClusterColumns(np.array(starts), np.array(ends))}
+    with pytest.raises(ValueError, match="must be >= 0"):
+        cli_module._emit(payload, str(tmp_path / "report.json"))
 
 
 def _random_walk_csvs(tmp_path, n, t):
