@@ -13,6 +13,8 @@ batch CLI (``madkit``).
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .collinearity import (
     ConstantVariableError,
     VifReport,
@@ -96,80 +98,9 @@ from .thresholds import (
     pot_threshold,
 )
 
-__all__ = [
-    "__version__",
-    "AnomalyCluster",
-    "AnomalySpec",
-    "ClusterColumns",
-    "CollinearGroup",
-    "ConfusionCounts",
-    "ConstantVariableError",
-    "ConvergenceError",
-    "CsvFormatError",
-    "DecisionTree",
-    "DetectionResult",
-    "DetectorModel",
-    "EigenBasis",
-    "EXIT_CODES",
-    "ExplainDataset",
-    "Forest",
-    "GpdFitError",
-    "GpdParameters",
-    "ImportanceReport",
-    "LogisticFit",
-    "ModelFormatError",
-    "PipelineConfig",
-    "PipelineError",
-    "ScatterFit",
-    "SeriesMatrix",
-    "SingleClassError",
-    "SingularCovarianceError",
-    "SmoothConfig",
-    "SplitSpec",
-    "SynthConfig",
-    "ThresholdSpec",
-    "VifReport",
-    "align_labels",
-    "apply_detector",
-    "assemble_explain_dataset",
-    "center",
-    "chi2_threshold",
-    "compute_vifs",
-    "confusion",
-    "eigen_basis",
-    "extract_clusters",
-    "f1",
-    "fit_detector",
-    "fit_gpd",
-    "fit_logistic",
-    "fit_scatter",
-    "flag",
-    "generate",
-    "gini_importance",
-    "gpd_loglik",
-    "load_csv",
-    "load_headerless",
-    "load_model",
-    "mcc",
-    "mvt_threshold",
-    "oob_accuracy",
-    "pot_quantile",
-    "pot_threshold",
-    "precision",
-    "rcde",
-    "recall",
-    "report_core",
-    "ric",
-    "run_detect",
-    "run_evaluate",
-    "run_explain",
-    "save_csv",
-    "save_model",
-    "score",
-    "score_all",
-    "smooth_matrix",
-    "smooth_series",
-    "split",
-    "train_forest",
-    "vif_prune",
+# Every public name imported above; the imports also bind the submodules.
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -597,16 +597,13 @@ def save_csv(
         if labels.size != matrix.n_times:
             raise ValueError("label length must match matrix T")
         header.append(label_column)
-    cols = matrix.values.T
+    rows = (row.tolist() for row in matrix.values.T)  # csv writes floats as repr
+    if labels is not None:
+        rows = (row + [label] for row, label in zip(rows, labels.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if labels is None:
-            for row in cols:
-                writer.writerow([repr(float(v)) for v in row])
-        else:
-            for t, row in enumerate(cols):
-                writer.writerow([repr(float(v)) for v in row] + [str(labels[t])])
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
