@@ -36,15 +36,15 @@ class VifReport:
 
     ``removed`` lists ``(original_index, vif_at_removal)`` in removal order;
     ``retained`` lists surviving original indices in their original order;
-    ``final_vifs`` are the VIFs of the retained set.  ``centered`` and
-    ``means`` are the mean-subtracted input block (all variables) and its
+    ``final_vifs`` are the VIFs of the retained set.  ``gram`` is the scaled
+    Gram matrix that every VIF is computed from, and ``means`` are the
     per-variable means, as :func:`center` returns them.
     """
 
     removed: list[tuple[int, float]]
     retained: list[int]
     final_vifs: np.ndarray
-    centered: np.ndarray
+    gram: np.ndarray
     means: np.ndarray
 
     def __post_init__(self):
@@ -72,12 +72,7 @@ def center(matrix) -> tuple[np.ndarray, np.ndarray]:
     ConstantVariableError
         If any variable takes a single value over the window.
     """
-    values, names = _values_and_names(matrix)
-    spread = values.max(axis=1) - values.min(axis=1)
-    if (spread == 0.0).any():
-        i = int(np.argmax(spread == 0.0))
-        raise ConstantVariableError(names[i] if names is not None else i)
-    means = values.mean(axis=1)
+    values, means = _values_and_means(matrix)
     return values - means[:, None], means
 
 
@@ -91,7 +86,7 @@ def compute_vifs(centered: np.ndarray) -> np.ndarray:
     centered = np.asarray(centered, dtype=np.float64)
     if centered.ndim != 2 or centered.shape[0] < 2:
         raise ValueError("compute_vifs needs a 2-D matrix with at least 2 rows")
-    return _vifs_from_gram(_scaled_gram(centered))
+    return _vifs_from_gram(_scaled_gram(centered, np.zeros(centered.shape[0])))
 
 
 def vif_prune(matrix, vif_threshold: float = 5.0) -> VifReport:
@@ -100,16 +95,14 @@ def vif_prune(matrix, vif_threshold: float = 5.0) -> VifReport:
 
     Ties on the largest VIF are broken toward the lowest original index.
     Each iteration recomputes VIFs for the surviving set; because scales are
-    per-variable, this equals re-deriving them from the reduced data.  The
-    report carries the centered input, so callers need not center again.
+    per-variable, this equals re-deriving them from the reduced data.  No
+    centered copy of the input is kept; callers center what they retain.
     """
     if not vif_threshold > 1.0:
         raise ValueError("vif_threshold must exceed 1 (VIFs are never below 1)")
-    centered, means = center(matrix)
-    n = centered.shape[0]
-
-    gram = _scaled_gram(centered)
-    alive = list(range(n))
+    values, means = _values_and_means(matrix)
+    gram = _scaled_gram(values, means)
+    alive = list(range(values.shape[0]))
     removed: list[tuple[int, float]] = []
     while True:
         if len(alive) == 1:
@@ -122,25 +115,35 @@ def vif_prune(matrix, vif_threshold: float = 5.0) -> VifReport:
             break
         removed.append((alive[worst], float(vifs[worst])))
         alive.pop(worst)
-    return VifReport(removed, alive, final, centered, means)
+    return VifReport(removed, alive, final, gram, means)
 
 
-def _values_and_names(matrix):
+def _values_and_means(matrix):
+    """The input block and its row means; a constant row is an error."""
     if isinstance(matrix, SeriesMatrix):
-        return matrix.values, matrix.names
-    values = np.asarray(matrix, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError("expected a SeriesMatrix or a 2-D array")
-    return values, None
+        values, names = matrix.values, matrix.names
+    else:
+        values, names = np.asarray(matrix, dtype=np.float64), None
+        if values.ndim != 2:
+            raise ValueError("expected a SeriesMatrix or a 2-D array")
+    spread = values.max(axis=1) - values.min(axis=1)
+    if (spread == 0.0).any():
+        i = int(np.argmax(spread == 0.0))
+        raise ConstantVariableError(names[i] if names is not None else i)
+    return values, values.mean(axis=1)
 
 
-def _scaled_gram(centered: np.ndarray) -> np.ndarray:
-    """Gram matrix of rows scaled to unit root-mean-square."""
-    scale = np.sqrt(np.mean(centered * centered, axis=1))
+def _scaled_gram(values: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Gram matrix of the rows of ``values - means`` scaled to unit RMS, in
+    one scratch block in ``values``' memory order, which sets the rounding."""
+    s = values - means[:, None]
+    s *= s
+    scale = np.sqrt(np.mean(s, axis=1))
     if (scale == 0.0).any():
         raise ConstantVariableError(int(np.argmax(scale == 0.0)))
-    z = centered / scale[:, None]
-    return z @ z.T
+    np.subtract(values, means[:, None], out=s)
+    s /= scale[:, None]
+    return s @ s.T
 
 
 def _vifs_from_gram(gram: np.ndarray) -> np.ndarray:

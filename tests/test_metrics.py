@@ -1,6 +1,7 @@
 """Pointwise and cluster evaluation metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,57 @@ def test_clusters_match_brute_force():
         min_len = int(rng.integers(1, 4))
         got = [(c.start, c.end) for c in extract_clusters(truth, min_len)]
         assert got == brute_clusters(truth, min_len)
+
+
+def padded_diff_clusters(truth, min_length=1):
+    """The run finder ``extract_clusters`` used before: edges of a padded
+    copy found with ``np.diff`` and two masks (the oracle)."""
+    padded = np.zeros(truth.size + 2, dtype=np.int8)
+    padded[1:-1] = truth
+    edges = np.diff(padded)
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    if min_length > 1:
+        keep = ends - starts + 1 >= min_length
+        starts, ends = starts[keep], ends[keep]
+    return starts, ends
+
+
+def test_clusters_match_the_padded_diff_oracle():
+    rng = np.random.default_rng(21)
+    vectors = [np.zeros(0), [0], [1], [0, 0], [1, 1], [1, 0], [0, 1],
+               np.zeros(50), np.ones(50), [1, 0, 1, 1, 0, 0, 1], [1, 0, 0, 1]]
+    for _ in range(200):
+        n = int(rng.integers(1, 400))
+        vectors.append(rng.random(n) < rng.uniform(0.05, 0.95))
+    for vec in vectors:
+        truth = np.asarray(vec, dtype=np.int8)
+        for min_length in (1, 2, 3, 5):
+            got = extract_clusters(truth, min_length)
+            want_starts, want_ends = padded_diff_clusters(truth, min_length)
+            for column, want in ((got.starts, want_starts), (got.ends, want_ends)):
+                assert column.dtype == want.dtype
+                assert np.array_equal(column, want), (truth, min_length)
+
+
+def test_clusters_hold_one_mask_beside_their_columns():
+    # 1e6 labels in runs of mean length 2, with runs at both ends: the
+    # cluster columns and one mask of the labels' length, no padded copy
+    # and no second mask
+    rng = np.random.default_rng(8)
+    lengths = rng.geometric(0.5, 500_000)
+    truth = np.repeat(np.tile(np.array([1, 0], dtype=np.int8), 250_000), lengths)
+    truth = truth[:1_000_000].copy()
+    truth[-1] = 1
+    tracemalloc.start()
+    try:
+        clusters = extract_clusters(truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(clusters) > 200_000
+    columns = clusters.starts.nbytes + clusters.ends.nbytes
+    assert peak < truth.size + 1.5 * columns, (peak, columns)
 
 
 def test_cluster_record_fields():

@@ -894,6 +894,24 @@ def test_run_detect_from_files_holds_three_blocks_at_most(tmp_path):
     assert peak < 3.5 * n * t * 8, peak / (n * t * 8)
 
 
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 a caller's stack keeps its call arguments alive",
+)
+def test_run_detect_from_files_holds_two_blocks_at_most(tmp_path):
+    # vif_prune forms its Gram in one scratch block, only the retained rows
+    # are centered, and scoring overwrites them: the live peak is the raw
+    # and smoothed blocks while a file is smoothed (~2.2 blocks here, with
+    # the smoothing's working rows)
+    n, t = 12, 8000
+    train_csv, test_csv = _random_walk_csvs(tmp_path, n, t)
+    cfg = PipelineConfig(
+        train=train_csv, test=test_csv, smooth=SmoothConfig(h=5, kind="mean")
+    )
+    _, peak = _traced_peak(run_detect, cfg)
+    assert peak < 2.5 * n * t * 8, peak / (n * t * 8)
+
+
 def test_fit_and_apply_give_the_same_bytes_from_a_kept_or_temporary_block(
     tmp_path,
 ):

@@ -11,6 +11,7 @@ from madkit.scoring import (
     SingularCovarianceError,
     _SOLVE_COLUMNS,
     _forward_solve,
+    _score_in_place,
     eigen_basis,
     fit_scatter,
     score,
@@ -81,6 +82,44 @@ def test_forward_solve_matches_solve_triangular(order):
         x = block[:, 0]
         one = np.linalg.norm(solve_triangular(fit.chol, x, lower=True))
         assert abs(score(fit, x) - one) <= 1e-13 * one, m
+
+
+def full_z_scores(chol, block):
+    """Scores as ``score_all`` made them before it solved in place: the
+    whole solved block in a new C-ordered array, then ``sqrt(einsum)``
+    (the oracle)."""
+    m = chol.shape[0]
+    z = np.empty(block.shape)
+    for start in range(0, z.shape[1], _SOLVE_COLUMNS):
+        zb = z[:, start : start + _SOLVE_COLUMNS]
+        bb = block[:, start : start + _SOLVE_COLUMNS]
+        for i in range(m):
+            zb[i] = (bb[i] - chol[i, :i] @ zb[:i]) / chol[i, i]
+    return z, np.sqrt(np.einsum("it,it->t", z, z))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("m", [1, 5, 35])
+def test_in_place_solve_gives_the_full_block_bits(m, order):
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, 3 * m + 5))
+    fit = fit_scatter(a - a.mean(axis=1, keepdims=True))
+    for t in (1, _SOLVE_COLUMNS - 1, _SOLVE_COLUMNS, _SOLVE_COLUMNS + 1,
+              2 * _SOLVE_COLUMNS + 3):
+        block = np.asarray(3.0 * rng.standard_normal((m, t)), order=order)
+        kept = block.copy(order="K")
+        want_z, want = full_z_scores(fit.chol, block)
+        # the public scorer solves a copy and leaves its argument alone
+        got = score_all(fit, block)
+        assert got.tobytes() == want.tobytes(), (m, t)
+        assert block.tobytes("A") == kept.tobytes("A")
+        # the pipeline's scorer takes a block it owns, of either order
+        assert _score_in_place(fit, block.copy(order="K")).tobytes() == want.tobytes()
+        # a C-ordered block is overwritten by the solved block itself
+        own = np.array(block, order="C")
+        solved = _forward_solve(fit.chol, own, out=own)
+        assert np.shares_memory(solved, own)
+        assert own.tobytes() == want_z.tobytes(), (m, t)
 
 
 def test_fit_scatter_population_normalization():

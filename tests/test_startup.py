@@ -7,6 +7,7 @@ module.  Only the chi2 rule (``scipy.stats``) and ``synth``
 (``scipy.signal``) import scipy, on first use; the chi2 run below shows
 that the probe sees such an import.  Each check runs in a fresh
 interpreter, because the test process itself has imported scipy.
+``python -m madkit`` runs the same CLI as ``madkit.cli.main``.
 """
 
 import json
@@ -19,6 +20,7 @@ import pytest
 
 import madkit
 from madkit.data import save_csv
+from madkit.pipeline import EXIT_CODES
 from madkit.synthetic import AnomalySpec, SynthConfig, generate
 
 SRC = str(Path(madkit.__file__).resolve().parents[1])
@@ -108,3 +110,26 @@ def test_chi2_detect_loads_scipy_stats(data):
     tmp, files = data
     loaded = run_main(detect_argv(tmp, files, "--threshold", "chi2"))
     assert "scipy.stats" in loaded
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    def python(*args):
+        return subprocess.run(
+            [sys.executable, *args], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+            text=True, timeout=120,
+        )
+
+    shown = python("-m", "madkit", "--help")
+    assert shown.returncode == 0, shown.stderr
+    assert "detect" in shown.stdout
+    bad = python("-m", "madkit", "detect", "--train", "a.csv", "--test",
+                 "b.csv", "--smooth-window", "0")
+    assert bad.returncode == EXIT_CODES["config"]
+    assert bad.stderr.startswith("error [config]: "), bad.stderr
+    unknown = python("-m", "madkit", "detect", "--no-such-flag")
+    assert unknown.returncode == 2
+    assert "unrecognized arguments: --no-such-flag" in unknown.stderr
+    # importing the package does not run (or import) the entry point
+    plain = python("-c", "import sys, madkit; print('madkit.__main__' in sys.modules)")
+    assert plain.stdout.strip() == "False", plain.stderr
