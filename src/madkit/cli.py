@@ -15,7 +15,6 @@ outputs.  A failure exits with its stage's code (``pipeline.EXIT_CODES``):
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -23,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FILTER_KINDS, THRESHOLD_KINDS, save_csv, save_model, split
+from .data import FILTER_KINDS, THRESHOLD_KINDS, save_csv, save_model, split, write_table
 from .metrics import ClusterColumns
 from .pipeline import (
     EXIT_CODES,
@@ -307,8 +306,6 @@ _KEEP_WORDS = (
 ).view(np.uint32)[..., 0]
 # cluster records _emit renders at once
 _CLUSTER_BLOCK = 1 << 13
-# score rows _write_scores_csv renders at once
-_SCORE_BLOCK = 1 << 12
 
 
 def _emit(payload: dict | list, out: str | None) -> None:
@@ -390,24 +387,15 @@ def _record_layout(words) -> tuple[bytes, bytes, list[int]]:
 
 
 def _write_scores_csv(fh, result) -> None:
-    """Write ``timestamp,score,flag`` rows to ``fh`` as ``csv.writer`` does."""
-    fh.write("timestamp,score,flag\r\n")
-    t0 = result.time_offset
-    for i in range(0, result.scores.size, _SCORE_BLOCK):
-        scores = result.scores[i : i + _SCORE_BLOCK].tolist()
-        rows = [0] * (3 * len(scores))
-        rows[0::3] = range(t0 + i, t0 + i + len(scores))
-        rows[1::3] = scores
-        rows[2::3] = result.flags[i : i + _SCORE_BLOCK].tolist()
-        fh.write("%d,%r,%d\r\n" * len(scores) % tuple(rows))
+    """Write ``timestamp,score,flag`` rows to ``fh``."""
+    t0, scores = result.time_offset, result.scores
+    timestamps = np.arange(t0, t0 + scores.size)
+    write_table(fh, ["timestamp", "score", "flag"], [timestamps, scores, result.flags])
 
 
-def _write_rows(path, header: list[str], rows) -> None:
-    """Write a CSV file of ``header`` and then ``rows``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_file(path):
+    """``path`` opened for writing a table."""
+    return open(path, "w", newline="", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +407,14 @@ def _cmd_detect(cfg: PipelineConfig, options: dict) -> None:
     if options.get("model-out"):
         save_model(model, options["model-out"])
     if options.get("scores-out"):
-        with open(
-            options["scores-out"], "w", newline="", encoding="utf-8"
-        ) as fh:
+        with _csv_file(options["scores-out"]) as fh:
             _write_scores_csv(fh, result)
     if options.get("intervals-out"):
         intervals = report["detection"]["flagged_intervals"]
-        rows = ([iv["start"], iv["end"], iv["length"]] for iv in intervals)
-        _write_rows(options["intervals-out"], ["start", "end", "length"], rows)
+        keys = ["start", "end", "length"]
+        columns = [np.array([iv[k] for iv in intervals], np.int64) for k in keys]
+        with _csv_file(options["intervals-out"]) as fh:
+            write_table(fh, keys, columns)
     if options.get("summary"):
         _print_summary(report)
     _emit(report, options.get("out"))
@@ -458,9 +446,7 @@ def _cmd_explain(cfg: PipelineConfig, options: dict) -> None:
         {
             "method": rep.method,
             "top": rep.top(cfg.top),
-            "ranking": [
-                {"variable": name, "score": score} for name, score in rep.ranking
-            ],
+            "ranking": [{"variable": v, "score": s} for v, s in rep.ranking],
         }
         for rep in reports
     ]
@@ -496,8 +482,8 @@ def _cmd_synth(cfg: PipelineConfig, options: dict) -> None:
     train_m, test_m = split(matrix, spec)
     save_csv(train_m, f"{prefix}_train.csv")
     save_csv(test_m, f"{prefix}_test.csv")
-    labels = truth[spec.train_end :]
-    _write_rows(f"{prefix}_truth.csv", ["label"], ([int(v)] for v in labels))
+    with _csv_file(f"{prefix}_truth.csv") as fh:
+        write_table(fh, ["label"], [truth[spec.train_end :]])
     print(
         f"wrote {prefix}_train.csv ({train_m.n_times} rows), "
         f"{prefix}_test.csv ({test_m.n_times} rows), "
@@ -549,11 +535,7 @@ def _cmd_score(cfg: PipelineConfig, options: dict) -> None:
     result, _ = apply_detector(model, load_matrix(cfg.data, cfg.label_column))
     out = options.get("out")
     if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
+        with _csv_file(out) as fh:
             _write_scores_csv(fh, result)
     else:
         _write_scores_csv(sys.stdout, result)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -590,20 +590,39 @@ def save_csv(
     Reals are written with ``repr``, which round-trips float64 exactly, so
     ``load_csv(save_csv(m))`` reproduces ``m.values`` bit for bit.
     """
-    path = Path(path)
-    header = list(matrix.names)
+    header, columns = list(matrix.names), list(matrix.values)
     if labels is not None:
         labels = as_labels(labels)
         if labels.size != matrix.n_times:
             raise ValueError("label length must match matrix T")
         header.append(label_column)
-    rows = (row.tolist() for row in matrix.values.T)  # csv writes floats as repr
-    if labels is not None:
-        rows = (row + [label] for row, label in zip(rows, labels.tolist()))
+        columns.append(labels)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        write_table(fh, header, columns)
+
+
+# cells write_table formats at once: 4,096 rows of a three-column table
+_TABLE_CELLS = 3 << 12
+
+
+def write_table(fh, header: list[str], columns) -> None:
+    """Write ``header`` and then the rows of ``columns``, equal-length 1-D
+    arrays, to text file ``fh`` in ``csv.writer``'s bytes: ``\\r\\n`` line
+    ends, a float cell as its ``repr``, any other cell as a decimal
+    integer.  Each ``%``-format call renders at most ``_TABLE_CELLS``
+    cells (at least one row), so memory does not grow with the table."""
+    if len({len(column) for column in columns}) != 1:
+        raise ValueError("write_table needs columns of one length")
+    csv.writer(fh).writerow(header)
+    width, n = len(columns), len(columns[0])
+    line = ",".join("%r" if c.dtype.kind == "f" else "%d" for c in columns) + "\r\n"
+    step = max(1, _TABLE_CELLS // width)
+    for i in range(0, n, step):
+        rows = min(step, n - i)
+        cells = [0] * (rows * width)
+        for c, column in enumerate(columns):
+            cells[c::width] = column[i : i + rows].tolist()
+        fh.write(line * rows % tuple(cells))
 
 
 # ---------------------------------------------------------------------------

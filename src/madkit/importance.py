@@ -482,22 +482,21 @@ def _null_deviance(y: np.ndarray) -> float:
     return -2.0 * (n1 * math.log(p_bar) + n0 * math.log(1.0 - p_bar))
 
 
-def _fit_glm(x: np.ndarray, y: np.ndarray, ridge: float, max_iter: int = 100):
+def _fit_glm(design: np.ndarray, y: np.ndarray, ridge: float, max_iter: int = 100):
     """Newton (IRLS) fit of ridge logistic regression with free intercept.
 
+    ``design`` is the intercept column of ones followed by the predictors.
     Maximizes ``loglik - ridge/2 * |coef|^2`` (intercept unpenalized);
     declares convergence when the largest coefficient update is below
     1e-8.  The no-predictor case reduces to the closed-form null model so
     deviance comparisons against it are exact.
     """
-    n, p = x.shape
-    if p == 0:
-        n1 = float(y.sum())
-        p_bar = n1 / n
+    n, p1 = design.shape
+    if p1 == 1:
+        p_bar = float(y.sum()) / n
         return np.empty(0), math.log(p_bar / (1.0 - p_bar)), _null_deviance(y), 0
-    design = np.hstack([np.ones((n, 1)), x])
-    beta = np.zeros(p + 1)
-    penalty = np.full(p + 1, ridge)
+    beta = np.zeros(p1)
+    penalty = np.full(p1, ridge)
     penalty[0] = 0.0
     for it in range(1, max_iter + 1):
         eta = design @ beta
@@ -520,12 +519,19 @@ def _fit_glm(x: np.ndarray, y: np.ndarray, ridge: float, max_iter: int = 100):
     )
 
 
-def fit_logistic(data: ExplainDataset, ridge: float = 1e-6) -> LogisticFit:
-    """Fit ridge logistic regression of the targets on all features."""
+def _design(data: ExplainDataset, ridge: float):
+    """``(design, y)``: the features behind an intercept column of ones,
+    and the targets as floats."""
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
-    y = data.targets.astype(np.float64)
-    coef, intercept, d_full, n_iter = _fit_glm(data.features, y, ridge)
+    design = np.hstack([np.ones((data.n_rows, 1)), data.features])
+    return design, data.targets.astype(np.float64)
+
+
+def fit_logistic(data: ExplainDataset, ridge: float = 1e-6) -> LogisticFit:
+    """Fit ridge logistic regression of the targets on all features."""
+    design, y = _design(data, ridge)
+    coef, intercept, d_full, n_iter = _fit_glm(design, y, ridge)
     return LogisticFit(
         coef=coef,
         intercept=intercept,
@@ -543,18 +549,15 @@ def rcde(data: ExplainDataset, ridge: float = 1e-6) -> ImportanceReport:
     predictor this is exactly 1.  Raises when the full model explains no
     deviance.
     """
-    full = fit_logistic(data, ridge)
-    d_null, d_full = full.d_null, full.d_full
+    design, y = _design(data, ridge)
+    d_null, d_full = _null_deviance(y), _fit_glm(design, y, ridge)[2]
     denom = d_null - d_full
     if not denom > 0.0:
         raise ValueError(
             "full model explains no deviance; RCDE is undefined"
         )
-    y = data.targets.astype(np.float64)
-    p = data.n_features
-    scores = np.empty(p)
-    for j in range(p):
-        reduced = np.delete(data.features, j, axis=1)
-        _, _, d_wo, _ = _fit_glm(reduced, y, ridge)
+    scores = np.empty(data.n_features)
+    for j in range(data.n_features):
+        d_wo = _fit_glm(np.delete(design, j + 1, axis=1), y, ridge)[2]
         scores[j] = ((d_null - d_full) - (d_null - d_wo)) / denom
     return _rank(data.feature_names, scores, "lr-rcde")

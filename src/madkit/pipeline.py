@@ -390,15 +390,9 @@ def _config_block(cfg: PipelineConfig) -> dict:
 
 def _intervals(flags: np.ndarray, offset: int) -> list[dict]:
     clusters = extract_clusters(flags)
-    columns = (
-        (clusters.starts + offset).tolist(),
-        (clusters.ends + offset).tolist(),
-        clusters.lengths.tolist(),
-    )
-    return [
-        {"start": start, "end": end, "length": length}
-        for start, end, length in zip(*columns)
-    ]
+    starts, ends = clusters.starts + offset, clusters.ends + offset
+    rows = zip(starts.tolist(), ends.tolist(), clusters.lengths.tolist())
+    return [{"start": s, "end": e, "length": n} for s, e, n in rows]
 
 
 def run_explain(

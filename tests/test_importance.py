@@ -596,9 +596,9 @@ def test_logistic_intercept_only_balanced():
     # no predictive signal, balanced classes: intercept 0, no deviance gain
     from madkit.importance import _fit_glm
 
-    x = np.zeros((10, 0))
+    design = np.ones((10, 1))  # the intercept column alone
     y = np.array([0.0, 1.0] * 5)
-    coef, intercept, d_full, _ = _fit_glm(x, y, ridge=1e-6)
+    coef, intercept, d_full, _ = _fit_glm(design, y, ridge=1e-6)
     assert coef.size == 0
     assert abs(intercept) < 1e-12
     assert abs(d_full - (-2.0 * y.size * math.log(0.5))) < 1e-10
@@ -698,9 +698,10 @@ def test_rcde_deviance_ordering():
     from madkit.importance import _fit_glm, _null_deviance
 
     yf = y.astype(float)
-    _, _, d_full, _ = _fit_glm(x, yf, ridge=1e-8)
+    design = np.hstack([np.ones((300, 1)), x])
+    _, _, d_full, _ = _fit_glm(design, yf, ridge=1e-8)
     for j in range(4):
-        _, _, d_wo, _ = _fit_glm(np.delete(x, j, axis=1), yf, ridge=1e-8)
+        _, _, d_wo, _ = _fit_glm(np.delete(design, j + 1, axis=1), yf, ridge=1e-8)
         assert d_wo >= d_full - 1e-6
 
 

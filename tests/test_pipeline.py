@@ -566,11 +566,18 @@ def _scores_result(n_rows, seed=0):
     return types.SimpleNamespace(scores=scores, flags=flags, time_offset=19)
 
 
-@pytest.mark.parametrize("to", ["file", "stdout"])
-@pytest.mark.parametrize("n_rows", [1, 4096, 4097])
-def test_write_scores_csv_matches_csv_writer(tmp_path, capsys, n_rows, to):
+def _csv_writer_bytes(header, rows) -> bytes:
+    """What csv.writer writes for ``header`` and then ``rows``."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode()
+
+
+def _scores_case(tmp_path, capsys, monkeypatch, n_rows, to):
     # 4,096 rows fill one formatting block; 4,097 spill into a second
-    assert cli_module._SCORE_BLOCK == 4096
+    assert data_module._TABLE_CELLS // 3 == 4096
     result = _scores_result(n_rows)
     want = io.StringIO(newline="")
     _scores_csv_oracle(want, result)
@@ -582,10 +589,124 @@ def test_write_scores_csv_matches_csv_writer(tmp_path, capsys, n_rows, to):
         path = tmp_path / "scores.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             cli_module._write_scores_csv(fh, result)
-        got = path.read_bytes()
-    else:
-        cli_module._write_scores_csv(sys.stdout, result)
-        got = capsys.readouterr().out.encode()
+        return path.read_bytes(), want
+    cli_module._write_scores_csv(sys.stdout, result)
+    return capsys.readouterr().out.encode(), want
+
+
+class _CountingFile(io.StringIO):
+    """A text buffer that records the line count of each ``write``."""
+
+    def __init__(self):
+        super().__init__(newline="")
+        self.lines = []
+
+    def write(self, text):
+        self.lines.append(text.count("\r\n"))
+        return super().write(text)
+
+
+def _table_case(tmp_path, capsys, monkeypatch, shape, to):
+    # width - 1 float columns and an int8 one; rows around a block boundary
+    width, blocks, extra = shape
+    step = data_module._TABLE_CELLS // width
+    assert step == {3: 4096, 39: 315}[width]
+    n_rows = blocks * step + extra
+    rng = np.random.default_rng(n_rows)
+    floats = rng.standard_normal((width - 1, n_rows))
+    floats *= 10.0 ** rng.integers(-320, 300, floats.shape)
+    ints = rng.integers(0, 2, n_rows).astype(np.int8)
+    header = [f"c{i}" for i in range(width)]
+    fh = _CountingFile()
+    data_module.write_table(fh, header, [*floats, ints])
+    # the header row, then full blocks of step rows and the rest
+    full, rest = divmod(n_rows, step)
+    assert fh.lines == [1] + [step] * full + [rest] * (rest > 0)
+    rows = [[*floats[:, r].tolist(), int(ints[r])] for r in range(n_rows)]
+    return fh.getvalue().encode(), _csv_writer_bytes(header, rows)
+
+
+def _save_csv_case(tmp_path, capsys, monkeypatch, labels, to):
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((38, 700)) * 10.0 ** rng.integers(-12, 13, (38, 700))
+    values[0, :6] = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1]
+    names = [f"v{i}" for i in range(37)] + ['a,"b"']
+    label_values = {
+        None: None,
+        "int": rng.integers(0, 2, 700),
+        "bool": rng.random(700) < 0.3,
+    }[labels]
+    path = tmp_path / "m.csv"
+    save_csv(SeriesMatrix(names, values), path, labels=label_values)
+    rows = values.T.tolist()
+    if label_values is not None:
+        names = [*names, "label"]
+        rows = [row + [int(v)] for row, v in zip(rows, label_values)]
+    return path.read_bytes(), _csv_writer_bytes(names, rows)
+
+
+def _intervals_case(tmp_path, capsys, monkeypatch, count, to):
+    rng = np.random.default_rng(count)
+    starts = np.sort(rng.integers(0, 2**62, count))
+    lengths = rng.integers(1, 10**6, count)
+    intervals = [
+        {"start": s, "end": s + n - 1, "length": n}
+        for s, n in zip(starts.tolist(), lengths.tolist())
+    ]
+    report = {"detection": {"flagged_intervals": intervals}}
+    monkeypatch.setattr(cli_module, "run_detect", lambda cfg: (None, None, report))
+    path = tmp_path / "intervals.csv"
+    assert main([
+        "detect", "--train", "unread.csv", "--test", "unread.csv",
+        "--intervals-out", str(path), "--out", str(tmp_path / "report.json"),
+    ]) == 0
+    rows = [[iv["start"], iv["end"], iv["length"]] for iv in intervals]
+    return path.read_bytes(), _csv_writer_bytes(["start", "end", "length"], rows)
+
+
+def _truth_case(tmp_path, capsys, monkeypatch, seed, to):
+    anomalies = (AnomalySpec(300, 40, (0,), 5.0), AnomalySpec(4000, 100, (1, 2), 5.0))
+    config = SynthConfig(n=3, t_train=200, t_test=5000, anomalies=anomalies, seed=seed)
+    prefix = tmp_path / "c"
+    assert main([
+        "synth", "--n", "3", "--t-train", "200", "--t-test", "5000",
+        "--anomaly", "300:40:0:5.0", "--anomaly", "4000:100:1,2:5.0",
+        "--seed", str(seed), "--out", str(prefix),
+    ]) == 0
+    _, truth, spec = generate(config)
+    rows = [[int(v)] for v in truth[spec.train_end :]]
+    return (tmp_path / "c_truth.csv").read_bytes(), _csv_writer_bytes(["label"], rows)
+
+
+@pytest.mark.parametrize(
+    "case, arg, to",
+    [
+        *(
+            pytest.param(_scores_case, n, to, id=f"{n}-{to}")
+            for n in (1, 4096, 4097)
+            for to in ("file", "stdout")
+        ),
+        *(
+            pytest.param(_table_case, (w, b, e), "file", id=f"table-{w}-{b}-{e}")
+            for w in (3, 39)
+            for b, e in ((0, 1), (1, -1), (1, 0), (1, 1), (2, 1))
+        ),
+        *(
+            pytest.param(_save_csv_case, labels, "file", id=f"save_csv-{labels}")
+            for labels in (None, "int", "bool")
+        ),
+        *(
+            pytest.param(_intervals_case, count, "file", id=f"intervals-{count}")
+            for count in (0, 1, 5000)
+        ),
+        pytest.param(_truth_case, 4, "file", id="synth-truth"),
+    ],
+)
+def test_write_scores_csv_matches_csv_writer(
+    tmp_path, capsys, monkeypatch, case, arg, to
+):
+    # every CSV madkit writes, against csv.writer of the same rows
+    got, want = case(tmp_path, capsys, monkeypatch, arg, to)
     assert got == want
 
 
