@@ -2,9 +2,11 @@
 
 The VIF of variable ``i`` is ``1 / (1 - R_i^2)`` where ``R_i^2`` is the
 coefficient of determination from regressing variable ``i`` on all the
-others (data centered, no intercept).  Iterative pruning removes the single
-worst variable until the largest VIF falls below a threshold, which makes
-the reduced covariance safely invertible for Mahalanobis scoring.
+others (data centered, no intercept): the i-th diagonal entry of the
+inverse correlation matrix, which is how it is computed.  Iterative pruning
+removes the single worst variable until the largest VIF falls below a
+threshold, which makes the reduced covariance safely invertible for
+Mahalanobis scoring.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ class VifReport:
 
     ``removed`` lists ``(original_index, vif_at_removal)`` in removal order;
     ``retained`` lists surviving original indices in their original order;
-    ``final_vifs`` are the VIFs of the retained set.  ``gram`` is the scaled
-    Gram matrix that every VIF is computed from, and ``means`` are the
-    per-variable means, as :func:`center` returns them.
+    ``final_vifs`` are the VIFs of the retained set.  ``gram`` is the Gram
+    matrix of the centered rows scaled to unit RMS (T times the correlation
+    matrix); each pruning step reads its VIFs from one eigendecomposition
+    of the block of the variables in play.  ``means`` are the per-variable
+    means, as :func:`center` returns them.
     """
 
     removed: list[tuple[int, float]]
@@ -72,21 +76,19 @@ def center(matrix) -> tuple[np.ndarray, np.ndarray]:
     ConstantVariableError
         If any variable takes a single value over the window.
     """
-    values, means = _values_and_means(matrix)
+    values, _, means = _values_and_means(matrix)
     return values - means[:, None], means
 
 
 def compute_vifs(centered: np.ndarray) -> np.ndarray:
-    """VIF of every variable of an already-centered ``(m, T)`` matrix.
-
-    Each regression is solved in minimum-norm least squares on
-    correlation-scaled data, so exact collinearity is well defined: an
-    ``R^2`` within 1e-12 of 1 yields ``inf``.  Requires ``m >= 2``.
-    """
+    """VIF of every variable of an already-centered ``(m, T)`` matrix, as
+    :func:`_vifs_from_gram` reads them (``inf`` for ``R^2`` within 1e-12 of
+    1).  Requires ``m >= 2``."""
     centered = np.asarray(centered, dtype=np.float64)
     if centered.ndim != 2 or centered.shape[0] < 2:
         raise ValueError("compute_vifs needs a 2-D matrix with at least 2 rows")
-    return _vifs_from_gram(_scaled_gram(centered, np.zeros(centered.shape[0])))
+    values, names, _ = _values_and_means(centered)
+    return _vifs_from_gram(_scaled_gram(values, np.zeros(len(values)), names))
 
 
 def vif_prune(matrix, vif_threshold: float = 5.0) -> VifReport:
@@ -100,8 +102,8 @@ def vif_prune(matrix, vif_threshold: float = 5.0) -> VifReport:
     """
     if not vif_threshold > 1.0:
         raise ValueError("vif_threshold must exceed 1 (VIFs are never below 1)")
-    values, means = _values_and_means(matrix)
-    gram = _scaled_gram(values, means)
+    values, names, means = _values_and_means(matrix)
+    gram = _scaled_gram(values, means, names)
     alive = list(range(values.shape[0]))
     removed: list[tuple[int, float]] = []
     while True:
@@ -119,54 +121,50 @@ def vif_prune(matrix, vif_threshold: float = 5.0) -> VifReport:
 
 
 def _values_and_means(matrix):
-    """The input block and its row means; a constant row is an error."""
+    """The input block, its row names (row indices for an array) and its
+    row means; a constant row is an error."""
     if isinstance(matrix, SeriesMatrix):
         values, names = matrix.values, matrix.names
     else:
-        values, names = np.asarray(matrix, dtype=np.float64), None
+        values = np.asarray(matrix, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("expected a SeriesMatrix or a 2-D array")
+        names = range(len(values))
     spread = values.max(axis=1) - values.min(axis=1)
     if (spread == 0.0).any():
-        i = int(np.argmax(spread == 0.0))
-        raise ConstantVariableError(names[i] if names is not None else i)
-    return values, values.mean(axis=1)
+        raise ConstantVariableError(names[int(np.argmax(spread == 0.0))])
+    return values, names, values.mean(axis=1)
 
 
-def _scaled_gram(values: np.ndarray, means: np.ndarray) -> np.ndarray:
+def _scaled_gram(values: np.ndarray, means: np.ndarray, names) -> np.ndarray:
     """Gram matrix of the rows of ``values - means`` scaled to unit RMS, in
-    one scratch block in ``values``' memory order, which sets the rounding."""
+    one scratch block in ``values``' memory order, which sets the rounding.
+    A row whose RMS over- or underflows float64 is an error that names it."""
     s = values - means[:, None]
-    s *= s
-    scale = np.sqrt(np.mean(s, axis=1))
-    if (scale == 0.0).any():
-        raise ConstantVariableError(int(np.argmax(scale == 0.0)))
+    with np.errstate(over="ignore"):  # a row that overflows is named below
+        s *= s
+        scale = np.sqrt(np.mean(s, axis=1))
+    bad = ~((scale > 0.0) & (scale < np.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"variable {names[i]!r}: its RMS deviation ({scale[i]}) is not a "
+            f"positive finite float64; rescale it before fitting"
+        )
     np.subtract(values, means[:, None], out=s)
     s /= scale[:, None]
     return s @ s.T
 
 
 def _vifs_from_gram(gram: np.ndarray) -> np.ndarray:
-    """Per-variable VIFs from the Gram matrix of scaled, centered rows.
-
-    Regressing row i on the others has normal equations
-    ``G[-i,-i] b = G[-i,i]``; the minimum-norm solution of that system is
-    the minimum-norm least-squares regression coefficient vector, so rank
-    deficiency (exact dependence) is handled without special cases.
+    """Per-variable VIFs from the Gram matrix G of scaled, centered rows:
+    ``VIF_i = G_ii (G^-1)_ii = G_ii sum_k V_ik^2 / lambda_k`` from one
+    ``eigh``, each eigenvalue raised to numpy's rank tolerance
+    ``lambda_max m eps``; a VIF of at least ``1 / _EXACT_R2_TOL`` is
+    exact dependence, ``inf``.
     """
-    m = gram.shape[0]
-    vifs = np.empty(m)
-    idx = np.arange(m)
-    for i in range(m):
-        others = idx != i
-        g_oo = gram[np.ix_(others, others)]
-        g_oi = gram[others, i]
-        coef, *_ = np.linalg.lstsq(g_oo, g_oi, rcond=None)
-        rss = gram[i, i] - g_oi @ coef
-        r2 = 1.0 - rss / gram[i, i]
-        r2 = min(max(r2, 0.0), 1.0)
-        if r2 >= 1.0 - _EXACT_R2_TOL:
-            vifs[i] = np.inf
-        else:
-            vifs[i] = 1.0 / (1.0 - r2)
+    lam, vec = np.linalg.eigh(gram)
+    lam = np.maximum(lam, lam[-1] * len(lam) * np.finfo(np.float64).eps)
+    vifs = np.diag(gram) * ((vec * vec) @ (1.0 / lam))
+    vifs[vifs >= 1.0 / _EXACT_R2_TOL] = np.inf
     return vifs

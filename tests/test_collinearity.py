@@ -1,16 +1,33 @@
 """VIF computation and iterative pruning."""
 
+import statistics
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from madkit.collinearity import (
+    _EXACT_R2_TOL,
     ConstantVariableError,
     _vifs_from_gram,
     center,
     compute_vifs,
     vif_prune,
 )
-from madkit.data import SeriesMatrix
+from madkit.data import SeriesMatrix, SmoothConfig
+from madkit.smoothing import smooth_matrix
+from madkit.synthetic import CollinearGroup, SynthConfig, generate
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from calibrate import calibrate  # noqa: E402
+
+# vif_prune's ceiling on 110 independent plus 40 mixed series (T = 3000),
+# over calibration time (see test_prune_time_relative_to_calibration).  On
+# a 2-vCPU VM one eigendecomposition per step read 0.31-0.38 in 5 runs, and
+# the per-variable lstsq loop it replaced read 42-62 in 2.
+PRUNE_CALIBRATION_RATIO = 2.0
 
 
 def vifs_by_inverse_correlation(centered):
@@ -263,3 +280,222 @@ def test_prune_names_a_constant_variable_as_before():
             vif_prune(matrix)
         assert str(raised.value) == str(ConstantVariableError(name))
         assert raised.value.variable == name
+
+
+def lstsq_vifs_from_gram(gram: np.ndarray) -> np.ndarray:
+    """``_vifs_from_gram`` as it was before it read the VIFs from one
+    eigendecomposition: one minimum-norm ``lstsq`` regression per variable
+    (the oracle).
+
+    Regressing row i on the others has normal equations
+    ``G[-i,-i] b = G[-i,i]``; the minimum-norm solution of that system is
+    the minimum-norm least-squares regression coefficient vector, so rank
+    deficiency (exact dependence) is handled without special cases.
+    """
+    m = gram.shape[0]
+    vifs = np.empty(m)
+    idx = np.arange(m)
+    for i in range(m):
+        others = idx != i
+        g_oo = gram[np.ix_(others, others)]
+        g_oi = gram[others, i]
+        coef, *_ = np.linalg.lstsq(g_oo, g_oi, rcond=None)
+        rss = gram[i, i] - g_oi @ coef
+        r2 = 1.0 - rss / gram[i, i]
+        r2 = min(max(r2, 0.0), 1.0)
+        if r2 >= 1.0 - _EXACT_R2_TOL:
+            vifs[i] = np.inf
+        else:
+            vifs[i] = 1.0 / (1.0 - r2)
+    return vifs
+
+
+def vif_tolerance(gram):
+    """How far, relative, a finite VIF may lie from the oracle's."""
+    return max(1e-9, 16 * np.finfo(np.float64).eps * np.linalg.cond(gram))
+
+
+def assert_prune_matches_oracle(values, threshold):
+    """Follow ``vif_prune``'s path over its Gram matrix with the oracle.
+
+    At every step the eigendecomposition must give the oracle's ``inf`` set
+    and its finite VIFs within :func:`vif_tolerance`, and take the oracle's
+    decision: the same variable out, or the same stop.  Only where the
+    oracle's top two VIFs lie within that tolerance may another variable go
+    first; the paths part there, and the return value is False.
+    """
+    report = vif_prune(values, threshold)
+    alive, removed = list(range(len(values))), []
+    while len(alive) > 1:
+        block = report.gram[np.ix_(alive, alive)]
+        got, want = _vifs_from_gram(block), lstsq_vifs_from_gram(block)
+        tol = vif_tolerance(block)
+        assert np.array_equal(np.isinf(got), np.isinf(want)), (alive, got, want)
+        finite = np.isfinite(want)
+        assert np.all(np.abs(got[finite] / want[finite] - 1.0) <= tol), alive
+        worst = int(np.argmax(want))
+        if int(np.argmax(got)) != worst:
+            top, second = np.sort(want)[-2:][::-1]
+            assert top - second <= tol * top, (alive, want)
+            return False
+        assert (got[worst] < threshold) == (want[worst] < threshold), alive
+        if want[worst] < threshold:
+            break
+        removed.append(alive.pop(worst))
+    assert [i for i, _ in report.removed] == removed
+    assert report.retained == alive
+    return True
+
+
+def synth_train_block(seed, noise_scales):
+    """The training block of a seeded ``synth`` corpus with one collinear
+    group per noise scale, each of a base and one to three dependents."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 16))
+    picks = rng.permutation(n)
+    groups, used = [], 0
+    for noise in noise_scales:
+        size = int(rng.integers(2, 5))
+        members = [int(v) for v in picks[used:used + size]]
+        used += size
+        groups.append(CollinearGroup(members[0], tuple(members[1:]), noise))
+    matrix, _, split = generate(SynthConfig(
+        n=max(n, used), t_train=int(rng.integers(300, 2000)), t_test=10,
+        collinear_groups=tuple(groups), seed=seed,
+    ))
+    return matrix.values[:, :split.train_end]
+
+
+def exact_dependence_block(seed):
+    """Independent rows with duplicated rows and exact sums among them."""
+    rng = np.random.default_rng(seed)
+    n, t = int(rng.integers(5, 14)), int(rng.integers(40, 600))
+    x = rng.standard_normal((n, t))
+    i, j, k, l = rng.choice(n, 4, replace=False)
+    x[j] = x[i]
+    x[k] = x[i] + x[l] if seed % 2 else 2.0 * x[i] - 0.5 * x[l]
+    if n > 8:
+        x[rng.integers(n)] = x[0] + x[1] + x[2]
+    return x
+
+
+def bench_shaped_block(seed, h):
+    """38 weakly factor-loaded series with the benchmark's exact and noisy
+    dependents, per-variable offsets and scales as in min-max normalised
+    server data, median-smoothed over ``h``."""
+    rng = np.random.default_rng(seed)
+    t = 4000
+    z = rng.standard_normal((4, t)).cumsum(axis=1) / np.sqrt(t)
+    z = rng.standard_normal((38, 4)) * 0.2 @ z + rng.standard_normal((38, t))
+    z[9] = 0.6 * z[2] + 0.4 * z[5]
+    z[23] = z[11] - 0.5 * z[17]
+    z[31] = 0.7 * z[13] + 0.7 * z[27] + 0.15 * rng.standard_normal(t)
+    z = rng.uniform(0, 1, (38, 1)) + rng.uniform(0.02, 0.2, (38, 1)) * z
+    matrix = SeriesMatrix([f"v{i}" for i in range(38)], np.asarray(z, order="F"))
+    return smooth_matrix(matrix, SmoothConfig(h=h)).values
+
+
+@pytest.mark.parametrize("noise_scales", [(0.0,), (0.0, 0.0), (0.05, 0.5), (0.0, 0.01)])
+def test_prune_matches_lstsq_oracle_on_synth(noise_scales):
+    compared = [
+        assert_prune_matches_oracle(synth_train_block(seed, noise_scales), thr)
+        for seed in range(12)
+        for thr in (5.0, 50.0)
+    ]
+    assert all(compared)
+
+
+def test_prune_matches_lstsq_oracle_on_exact_dependence():
+    compared = []
+    for seed in range(20):
+        x = exact_dependence_block(seed)
+        assert np.isinf(lstsq_vifs_from_gram(vif_prune(x, 5.0).gram)).any()
+        compared.append(assert_prune_matches_oracle(x, 5.0))
+    assert all(compared)
+
+
+@pytest.mark.parametrize("h", [1, 20])
+def test_prune_matches_lstsq_oracle_on_bench_shaped_blocks(h):
+    for seed in range(3):
+        assert assert_prune_matches_oracle(bench_shaped_block(seed, h), 5.0)
+
+
+def test_prune_matches_lstsq_oracle_at_thresholds_next_to_a_vif():
+    # a threshold 1e-9 relative above or below one of the oracle's VIFs
+    # lies outside the two routes' disagreement on these well-conditioned
+    # sets, so the decision there must be the oracle's
+    blocks = [synth_train_block(seed, (0.05, 0.5)) for seed in range(4)]
+    blocks.append(bench_shaped_block(5, 20))
+    for x in blocks:
+        gram = vif_prune(x, 1e300).gram
+        assert 16 * np.finfo(np.float64).eps * np.linalg.cond(gram) < 1e-9
+        full = lstsq_vifs_from_gram(gram)
+        for vif in np.sort(full)[-3:]:
+            for thr in (vif * (1 + 1e-9), vif * (1 - 1e-9)):
+                assert assert_prune_matches_oracle(x, thr)
+        top = full.max()
+        assert vif_prune(x, top * (1 + 1e-9)).removed == []
+        assert vif_prune(x, top * (1 - 1e-9)).removed[0][0] == int(np.argmax(full))
+
+
+@pytest.mark.parametrize("factor", [1e160, 1e-170])
+def test_prune_names_a_variable_whose_scale_overflows(factor):
+    # squaring 1e160-sized deviations overflows, 1e-170-sized ones
+    # underflow to 0: neither row can be scaled to unit RMS
+    values = np.random.default_rng(32).standard_normal((4, 60))
+    values[2] *= factor
+    for matrix, name in (
+        (values, 2),
+        (SeriesMatrix(["a", "b", "c", "d"], values), "c"),
+    ):
+        with pytest.raises(ValueError, match=f"variable {name!r}: its RMS deviation") as err:
+            vif_prune(matrix)
+        assert not isinstance(err.value, ConstantVariableError)
+    with pytest.raises(ValueError, match="variable 2: its RMS deviation"):
+        compute_vifs(values - values.mean(axis=1)[:, None])
+
+
+def test_prune_time_relative_to_calibration():
+    """Pruning 110 independent plus 40 mixed series (T = 3000) takes under
+    ``PRUNE_CALIBRATION_RATIO`` times the machine's current calibration
+    time: the faster of two prunes over the median of three
+    ``perfbench/calibrate.py`` runs, one before and one after each prune."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((150, 3000))
+    x[110:] = rng.standard_normal((40, 110)) @ x[:110] / np.sqrt(110) + 0.1 * x[110:]
+    calibrations, prunes = [calibrate()], []
+    for _ in range(2):
+        t0 = time.perf_counter()
+        report = vif_prune(x, 5.0)
+        prunes.append(time.perf_counter() - t0)
+        calibrations.append(calibrate())
+    assert sorted(i for i, _ in report.removed) == list(range(110, 150))
+    assert report.retained == list(range(110))
+    ratio = min(prunes) / statistics.median(calibrations)
+    detail = f"vif_prune {min(prunes):.3f}s, {ratio:.2f}x calibration"
+    assert ratio < PRUNE_CALIBRATION_RATIO, detail
+    print(detail)
+
+
+def test_prune_parts_from_lstsq_oracle_only_at_near_ties():
+    # groups with 1e-4 noise give VIFs of 1e7 to 1e9 at condition numbers
+    # near 1e10, where a group's top two VIFs may tie within tolerance
+    compared = [
+        assert_prune_matches_oracle(synth_train_block(seed, (1e-4,)), 5.0)
+        for seed in range(12)
+    ]
+    assert sum(compared) >= 6
+
+
+@pytest.mark.parametrize("vif, exact", [(3e11, False), (3e12, True)])
+def test_vif_is_inf_from_the_exact_r2_tolerance_on(vif, exact):
+    # y = x + e z with z orthogonal to x: VIF(x) = VIF(y) = 1 + 1 / e^2,
+    # which is inf from 1 / _EXACT_R2_TOL = 1e12 on, as in the oracle
+    x, z, w = np.tile([[1.0, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], 25)
+    values = np.vstack([x, x + z / np.sqrt(vif - 1.0), w])
+    got = compute_vifs(values)
+    oracle = lstsq_vifs_from_gram(vif_prune(values, 1e300).gram)
+    assert np.array_equal(np.isinf(got), np.isinf(oracle))
+    assert np.isinf(got[:2]).all() == exact and abs(got[2] - 1.0) < 1e-9
+    if not exact:
+        assert np.abs(got[:2] / vif - 1.0).max() < 1e-3

@@ -1614,3 +1614,25 @@ def test_cli_single_file_split(tmp_path):
     assert code == 0
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["detection"]["n_scores"] == 300
+
+
+@pytest.mark.parametrize("factor", [1e160, 1e-170])
+def test_cli_names_a_training_column_whose_scale_overflows(
+    tmp_path, capsys, factor
+):
+    # deviations of 1e160 square to inf and of 1e-170 to 0, so column 'b'
+    # cannot be scaled to unit RMS: a collinearity failure that names it,
+    # and nothing is scored
+    values = np.random.default_rng(33).standard_normal((3, 200))
+    values[1] *= factor
+    train = tmp_path / "train.csv"
+    save_csv(SeriesMatrix(names=["a", "b", "c"], values=values), train)
+    scores = tmp_path / "scores.csv"
+    assert main([
+        "detect", "--train", str(train), "--test", str(train),
+        "--scores-out", str(scores),
+    ]) == EXIT_CODES["collinearity"]
+    err = capsys.readouterr().err
+    assert err.startswith("error [collinearity]: variable 'b': its RMS"), err
+    assert "not a positive finite float64" in err and err.count("\n") == 1
+    assert not scores.exists()
