@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -210,8 +210,8 @@ class DetectorModel:
             )
         if not (self.k > 0 and math.isfinite(self.k)):
             raise ValueError("threshold k must be positive and finite")
-        if self.threshold_kind == "pot" and self.gpd is None:
-            raise ValueError("POT model requires gpd parameters")
+        if (self.threshold_kind == "pot") != (self.gpd is not None):
+            raise ValueError("a POT model needs gpd parameters; no other has them")
         if self.names is not None and not (
             isinstance(self.names, list)
             and len(self.names) == self.n_original
@@ -629,6 +629,14 @@ def write_table(fh, header: list[str], columns) -> None:
 # model serialization
 
 _REAL = "%.17g"  # round-trips IEEE754 double exactly
+# a model file's fields, in file order (a v1 file has no names line); the
+# sigma rows follow, and a POT model ends in a gpd line
+_MODEL_KEYS = (
+    "threshold_kind", "h", "filter_kind", "k", "names",
+    "retained", "vif_trace", "mu", "sigma_rows",
+)
+# the type of each GpdParameters field, in the gpd line's order
+_GPD_TYPES = [int if f.type == "int" else float for f in fields(GpdParameters)]
 
 
 def _fmt_reals(vec) -> str:
@@ -643,30 +651,24 @@ def _parse_reals(text: str) -> np.ndarray:
 
 def save_model(model: DetectorModel, path) -> None:
     """Write a model as versioned, self-describing UTF-8 text."""
+    values = (
+        model.threshold_kind,
+        model.smooth.h,
+        model.smooth.kind,
+        _REAL % model.k,
+        json.dumps(model.names),  # JSON: commas survive
+        ",".join(map(str, model.retained)),
+        ";".join(f"{i}," + _REAL % v for i, v in model.vif_trace),
+        _fmt_reals(model.scatter.mu),
+        len(model.retained),
+    )
     lines = [MODEL_FORMAT_HEADER]
-    lines.append(f"threshold_kind: {model.threshold_kind}")
-    lines.append(f"h: {model.smooth.h}")
-    lines.append(f"filter_kind: {model.smooth.kind}")
-    lines.append("k: " + _REAL % model.k)
-    lines.append("names: " + json.dumps(model.names))  # JSON: commas survive
-    lines.append("retained: " + ",".join(str(i) for i in model.retained))
-    trace = ";".join(f"{i}," + _REAL % v for i, v in model.vif_trace)
-    lines.append("vif_trace: " + trace)
-    lines.append("mu: " + _fmt_reals(model.scatter.mu))
-    m = len(model.retained)
-    lines.append(f"sigma_rows: {m}")
-    for row in model.scatter.sigma:
-        lines.append(_fmt_reals(row))
+    lines += [f"{key}: {value}" for key, value in zip(_MODEL_KEYS, values, strict=True)]
+    lines += map(_fmt_reals, model.scatter.sigma)
     if model.gpd is not None:
-        g = model.gpd
-        lines.append(
-            "gpd: "
-            + ",".join(
-                [_REAL % g.gamma, _REAL % g.delta, _REAL % g.l]
-                + [str(g.t_l), str(g.t_total)]
-                + [_REAL % g.loglik]
-            )
-        )
+        gpd = zip(_GPD_TYPES, astuple(model.gpd))
+        cells = [str(v) if t is int else _REAL % v for t, v in gpd]
+        lines.append("gpd: " + ",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -681,7 +683,8 @@ def _take(lines, key: str, path) -> str:
 
 
 def load_model(path) -> DetectorModel:
-    """Load a model written by :func:`save_model`; v1 files have no names."""
+    """Load a model written by :func:`save_model`; v1 files have no names.
+    A non-blank line left after the last field is an error."""
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
@@ -696,24 +699,10 @@ def load_model(path) -> DetectorModel:
             f"{path}: unsupported model format {header!r}, "
             f"expected {MODEL_FORMAT_HEADER!r}"
         )
+    keys = [k for k in _MODEL_KEYS if k != "names" or header == MODEL_FORMAT_HEADER]
     try:
-        threshold_kind = _take(lines, "threshold_kind", path)
-        h = int(_take(lines, "h", path))
-        filter_kind = _take(lines, "filter_kind", path)
-        k = float(_take(lines, "k", path))
-        names = None
-        if header == MODEL_FORMAT_HEADER:
-            names = json.loads(_take(lines, "names", path))
-        retained_text = _take(lines, "retained", path)
-        retained = [int(c) for c in retained_text.split(",") if c != ""]
-        trace_text = _take(lines, "vif_trace", path)
-        vif_trace = []
-        if trace_text:
-            for item in trace_text.split(";"):
-                idx, vif = item.split(",")
-                vif_trace.append((int(idx), float(vif)))
-        mu = _parse_reals(_take(lines, "mu", path))
-        m = int(_take(lines, "sigma_rows", path))
+        text = {key: _take(lines, key, path) for key in keys}
+        m = int(text["sigma_rows"])
         if len(lines) < m:
             raise ModelFormatError(f"{path}: truncated sigma block")
         sigma = np.array([_parse_reals(lines.pop(0)) for _ in range(m)])
@@ -721,17 +710,18 @@ def load_model(path) -> DetectorModel:
             raise ModelFormatError(f"{path}: sigma block is not {m} x {m}")
         gpd = None
         if lines and lines[0].startswith("gpd:"):
-            parts = _take(lines, "gpd", path).split(",")
-            if len(parts) != 6:
+            cells = _take(lines, "gpd", path).split(",")
+            if len(cells) != len(_GPD_TYPES):
                 raise ModelFormatError(f"{path}: malformed gpd field")
-            gpd = dict(
-                gamma=float(parts[0]),
-                delta=float(parts[1]),
-                l=float(parts[2]),
-                t_l=int(parts[3]),
-                t_total=int(parts[4]),
-                loglik=float(parts[5]),
-            )
+            gpd = [t(c) for t, c in zip(_GPD_TYPES, cells)]
+        if lines:
+            raise ModelFormatError(f"{path}: unexpected line {lines[0]!r}")
+        h, k = int(text["h"]), float(text["k"])
+        mu = _parse_reals(text["mu"])
+        names = json.loads(text["names"]) if "names" in text else None
+        retained = [int(c) for c in text["retained"].split(",") if c != ""]
+        pairs = [item.split(",") for item in text["vif_trace"].split(";")]
+        vif_trace = [(int(i), float(v)) for i, v in pairs] if text["vif_trace"] else []
     except (ValueError, IndexError) as exc:
         if isinstance(exc, ModelFormatError):
             raise
@@ -739,11 +729,11 @@ def load_model(path) -> DetectorModel:
     try:
         return DetectorModel(
             retained=retained,
-            smooth=SmoothConfig(h, filter_kind),
+            smooth=SmoothConfig(h, text["filter_kind"]),
             scatter=ScatterFit(mu=mu, sigma=sigma),
-            threshold_kind=threshold_kind,
+            threshold_kind=text["threshold_kind"],
             k=k,
-            gpd=None if gpd is None else GpdParameters(**gpd),
+            gpd=None if gpd is None else GpdParameters(*gpd),
             vif_trace=vif_trace,
             names=names,
         )

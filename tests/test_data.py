@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -959,6 +960,95 @@ def test_model_v1_file_still_loads_and_rescores(tmp_path):
     got, _ = apply_detector(back, test)
     want, _ = apply_detector(model, test)
     assert np.array_equal(got.scores, want.scores)
+
+
+# a POT model whose first variable's name holds a comma and whose one
+# removed variable was exactly collinear
+FROZEN_V2_MODEL = """madkit-model v2
+threshold_kind: pot
+h: 3
+filter_kind: median
+k: 2.5
+names: ["flow,in", "temp", "p"]
+retained: 0,2
+vif_trace: 1,inf
+mu: 0.10000000000000001,-0.20000000000000001
+sigma_rows: 2
+2,0.5
+0.5,1
+gpd: 0.125,0.33333333333333331,3.25,40,1000,-12.75
+"""
+
+
+def frozen_v2_model():
+    gpd = GpdParameters(
+        gamma=0.125, delta=1 / 3, l=3.25, t_l=40, t_total=1000, loglik=-12.75
+    )
+    model = make_model(threshold_kind="pot", gpd=gpd, vif_trace=[(1, math.inf)])
+    model.names = ["flow,in", "temp", "p"]
+    return model
+
+
+def test_model_v2_file_is_frozen_byte_for_byte(tmp_path):
+    model = frozen_v2_model()
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    assert path.read_bytes() == FROZEN_V2_MODEL.encode("utf-8")
+
+    path.write_text(FROZEN_V2_MODEL, encoding="utf-8")
+    back = load_model(path)
+    assert back.threshold_kind == "pot"
+    assert back.smooth == SmoothConfig(3, "median")
+    assert back.k == 2.5
+    assert back.names == ["flow,in", "temp", "p"]
+    assert back.retained == [0, 2]
+    assert back.vif_trace == [(1, math.inf)]
+    assert np.array_equal(back.scatter.mu, model.scatter.mu)
+    assert np.array_equal(back.scatter.sigma, model.scatter.sigma)
+    assert back.gpd == model.gpd
+
+
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        ("h: 3\nfilter_kind: median\n", "filter_kind: median\nh: 3\n", "'h'"),
+        ("k: 2.5\n", "k: 2.5\nk: 2.5\n", "'names'"),
+    ],
+    ids=["swapped", "repeated"],
+)
+def test_model_load_rejects_fields_out_of_order(tmp_path, old, new, expected):
+    path = tmp_path / "model.txt"
+    path.write_text(FROZEN_V2_MODEL.replace(old, new), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=f"expected {expected} field"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, leftover",
+    [
+        ("0.5,1\n", "0.5,1\n1,1\n", "1,1"),  # a third row under sigma_rows: 2
+        ("-12.75\n", "-12.75\njunk: 1\n", "junk: 1"),
+        ("-12.75\n", "-12.75\n" + FROZEN_V2_MODEL.splitlines()[-1] + "\n", "gpd: "),
+    ],
+    ids=["sigma-row", "junk", "second-gpd"],
+)
+def test_model_load_rejects_leftover_lines(tmp_path, old, new, leftover):
+    path = tmp_path / "model.txt"
+    path.write_text(FROZEN_V2_MODEL.replace(old, new), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=f"unexpected line '{leftover}"):
+        load_model(path)
+
+
+def test_model_gpd_only_on_pot(tmp_path):
+    gpd = frozen_v2_model().gpd
+    for kind in ("mvt", "chi2"):
+        with pytest.raises(ValueError, match="gpd"):
+            make_model(threshold_kind=kind, gpd=gpd)
+    path = tmp_path / "model.txt"
+    text = FROZEN_V2_MODEL.replace("threshold_kind: pot", "threshold_kind: mvt")
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="invalid model contents: .*gpd"):
+        load_model(path)
 
 
 def test_model_v2_keeps_names_with_commas(tmp_path):

@@ -1176,6 +1176,39 @@ def test_cli_score_words_model_faults_by_kind(
     assert err.startswith("error [ingest]") and wording in err
 
 
+@pytest.mark.parametrize("extra", ["junk: 1", "1,1"], ids=["junk", "sigma-row"])
+def test_cli_score_rejects_leftover_model_line(tmp_path, capsys, extra):
+    # a line after the last field was once ignored, and the model scored
+    train_csv, test_csv, _ = write_corpus(tmp_path, seed=9)
+    model_path = tmp_path / "model.txt"
+    assert main(["fit", "--train", str(train_csv), "--out", str(model_path)]) == 0
+    with open(model_path, "a", encoding="utf-8") as fh:
+        fh.write(extra + "\n")
+    capsys.readouterr()
+    code = main(["score", "--model", str(model_path), "--data", str(test_csv)])
+    assert code == EXIT_CODES["ingest"] == 10
+    err = capsys.readouterr().err
+    assert err.startswith("error [ingest]") and f"unexpected line {extra!r}" in err
+
+
+def test_cli_score_rejects_gpd_line_on_mvt_model(tmp_path, capsys):
+    train_csv, test_csv, _ = write_corpus(tmp_path, seed=9)
+    pot, mvt = tmp_path / "pot.txt", tmp_path / "mvt.txt"
+    fit = ["fit", "--train", str(train_csv), "--out"]
+    assert main([*fit, str(pot), "--threshold", "pot"]) == 0
+    assert main([*fit, str(mvt), "--threshold", "mvt"]) == 0
+    gpd = pot.read_text(encoding="utf-8").splitlines()[-1]
+    assert gpd.startswith("gpd: ")
+    with open(mvt, "a", encoding="utf-8") as fh:
+        fh.write(gpd + "\n")
+    capsys.readouterr()
+    code = main(["score", "--model", str(mvt), "--data", str(test_csv)])
+    assert code == EXIT_CODES["ingest"]
+    err = capsys.readouterr().err
+    assert err.startswith("error [ingest]") and "invalid model contents" in err
+    assert "gpd" in err
+
+
 def test_cli_rejects_wrong_inputs_loudly(tmp_path, capsys):
     train_csv, test_csv, _ = write_corpus(tmp_path, seed=7)
     pred = tmp_path / "pred.csv"
