@@ -42,10 +42,8 @@ from .importance import (
     ExplainDataset,
     Forest,
     ImportanceReport,
-    LogisticFit,
     SingleClassError,
     assemble_explain_dataset,
-    fit_logistic,
     gini_importance,
     oob_accuracy,
     rcde,

@@ -719,7 +719,7 @@ def load_model(path) -> DetectorModel:
         h, k = int(text["h"]), float(text["k"])
         mu = _parse_reals(text["mu"])
         names = json.loads(text["names"]) if "names" in text else None
-        retained = [int(c) for c in text["retained"].split(",") if c != ""]
+        retained = [int(c) for c in text["retained"].split(",")]
         pairs = [item.split(",") for item in text["vif_trace"].split(";")]
         vif_trace = [(int(i), float(v)) for i, v in pairs] if text["vif_trace"] else []
     except (ValueError, IndexError) as exc:

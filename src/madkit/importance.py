@@ -464,17 +464,6 @@ def oob_accuracy(forest: Forest, data: ExplainDataset) -> float:
 # logistic regression and deviance-based importance
 
 
-@dataclass
-class LogisticFit:
-    """Ridge logistic fit with the deviances needed for RCDE."""
-
-    coef: np.ndarray
-    intercept: float
-    d_null: float
-    d_full: float
-    n_iter: int
-
-
 def _null_deviance(y: np.ndarray) -> float:
     n1 = float(y.sum())
     n0 = y.size - n1
@@ -519,28 +508,6 @@ def _fit_glm(design: np.ndarray, y: np.ndarray, ridge: float, max_iter: int = 10
     )
 
 
-def _design(data: ExplainDataset, ridge: float):
-    """``(design, y)``: the features behind an intercept column of ones,
-    and the targets as floats."""
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
-    design = np.hstack([np.ones((data.n_rows, 1)), data.features])
-    return design, data.targets.astype(np.float64)
-
-
-def fit_logistic(data: ExplainDataset, ridge: float = 1e-6) -> LogisticFit:
-    """Fit ridge logistic regression of the targets on all features."""
-    design, y = _design(data, ridge)
-    coef, intercept, d_full, n_iter = _fit_glm(design, y, ridge)
-    return LogisticFit(
-        coef=coef,
-        intercept=intercept,
-        d_null=_null_deviance(y),
-        d_full=d_full,
-        n_iter=n_iter,
-    )
-
-
 def rcde(data: ExplainDataset, ridge: float = 1e-6) -> ImportanceReport:
     """Relative change in deviance explained, per variable.
 
@@ -549,7 +516,10 @@ def rcde(data: ExplainDataset, ridge: float = 1e-6) -> ImportanceReport:
     predictor this is exactly 1.  Raises when the full model explains no
     deviance.
     """
-    design, y = _design(data, ridge)
+    if ridge < 0:
+        raise ValueError("ridge must be non-negative")
+    design = np.hstack([np.ones((data.n_rows, 1)), data.features])
+    y = data.targets.astype(np.float64)
     d_null, d_full = _null_deviance(y), _fit_glm(design, y, ridge)[2]
     denom = d_null - d_full
     if not denom > 0.0:

@@ -1008,6 +1008,26 @@ def test_model_v2_file_is_frozen_byte_for_byte(tmp_path):
     assert back.gpd == model.gpd
 
 
+@pytest.mark.parametrize("retained", ["0,,2", "0,2,", ",0,2"])
+def test_model_load_rejects_empty_retained_cell(tmp_path, capsys, retained):
+    # such a line once loaded as [0, 2]; no model retains zero variables,
+    # so a saved file never has an empty cell there
+    from madkit.cli import main
+
+    path = tmp_path / "model.txt"
+    text = FROZEN_V2_MODEL.replace("retained: 0,2\n", f"retained: {retained}\n")
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="corrupted model file"):
+        load_model(path)
+    data = tmp_path / "data.csv"
+    values = np.arange(30.0).reshape(3, 10)
+    save_csv(SeriesMatrix(names=["flow,in", "temp", "p"], values=values), data)
+    capsys.readouterr()
+    assert main(["score", "--model", str(path), "--data", str(data)]) == 10
+    err = capsys.readouterr().err
+    assert err.startswith("error [ingest]") and "corrupted model file" in err
+
+
 @pytest.mark.parametrize(
     "old, new, expected",
     [

@@ -19,7 +19,6 @@ from madkit.importance import (
     _dense_ranks,
     _gini,
     assemble_explain_dataset,
-    fit_logistic,
     gini_importance,
     oob_accuracy,
     rcde,
@@ -605,25 +604,30 @@ def test_logistic_intercept_only_balanced():
 
 
 def test_logistic_separated_data_classifies_perfectly():
+    from madkit.importance import _fit_glm, _null_deviance
+
     rng = np.random.default_rng(7)
     x = np.concatenate([rng.normal(-3, 0.5, 50), rng.normal(3, 0.5, 50)])
     y = np.concatenate([np.zeros(50, dtype=int), np.ones(50, dtype=int)])
-    ds = make_dataset(x.reshape(-1, 1), y)
-    fit = fit_logistic(ds, ridge=1e-3)
-    prob = 1.0 / (1.0 + np.exp(-(fit.intercept + x * fit.coef[0])))
+    yf = y.astype(float)
+    design = np.column_stack([np.ones(100), x])
+    coef, intercept, d_full, _ = _fit_glm(design, yf, ridge=1e-3)
+    prob = 1.0 / (1.0 + np.exp(-(intercept + x * coef[0])))
     assert np.array_equal((prob > 0.5).astype(int), y)
-    assert fit.d_full < fit.d_null
+    assert d_full < _null_deviance(yf)
 
 
 def test_logistic_deviance_gap_is_chi2_under_null():
     # with useless predictors the deviance drop is small: the LR statistic
     # should not reject at the 1% level
+    from madkit.importance import _fit_glm, _null_deviance
+
     rng = np.random.default_rng(8)
     x = rng.standard_normal((400, 3))
-    y = (rng.random(400) < 0.5).astype(int)
-    ds = make_dataset(x, y)
-    fit = fit_logistic(ds, ridge=1e-8)
-    gap = fit.d_null - fit.d_full
+    y = (rng.random(400) < 0.5).astype(float)
+    design = np.hstack([np.ones((400, 1)), x])
+    _, _, d_full, _ = _fit_glm(design, y, ridge=1e-8)
+    gap = _null_deviance(y) - d_full
     assert gap >= -1e-8
     assert stats.chi2.sf(max(gap, 0.0), df=3) > 0.01
 
@@ -631,7 +635,7 @@ def test_logistic_deviance_gap_is_chi2_under_null():
 def test_logistic_ridge_validation():
     ds = planted_dataset(seed=9, n=50, p=3, informative=(0,))
     with pytest.raises(ValueError):
-        fit_logistic(ds, ridge=-1.0)
+        rcde(ds, ridge=-1.0)
 
 
 def test_logistic_unpenalized_separation_fails_loudly():
@@ -640,8 +644,8 @@ def test_logistic_unpenalized_separation_fails_loudly():
     y = np.concatenate([np.zeros(20, dtype=int), np.ones(20, dtype=int)])
     ds = make_dataset(x.reshape(-1, 1), y)
     with pytest.raises(ConvergenceError):
-        fit_logistic(ds, ridge=0.0)
-    fit_logistic(ds, ridge=1e-2)  # a real penalty restores convergence
+        rcde(ds, ridge=0.0)
+    rcde(ds, ridge=1e-2)  # a real penalty restores convergence
 
 
 def test_convergence_error_names_cli_remedies():
