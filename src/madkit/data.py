@@ -705,9 +705,10 @@ def load_model(path) -> DetectorModel:
         m = int(text["sigma_rows"])
         if len(lines) < m:
             raise ModelFormatError(f"{path}: truncated sigma block")
-        sigma = np.array([_parse_reals(lines.pop(0)) for _ in range(m)])
-        if sigma.shape != (m, m):
+        rows = [_parse_reals(lines.pop(0)) for _ in range(m)]
+        if m < 1 or any(row.size != m for row in rows):
             raise ModelFormatError(f"{path}: sigma block is not {m} x {m}")
+        sigma = np.array(rows)
         gpd = None
         if lines and lines[0].startswith("gpd:"):
             cells = _take(lines, "gpd", path).split(",")

@@ -7,10 +7,7 @@ failure) in addition to the usual per-test verdict from -v.
 import math
 import os
 import statistics
-import sys
 import time
-from collections import Counter
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +24,8 @@ from madkit.synthetic import AnomalySpec, CollinearGroup, SynthConfig, generate
 from madkit.thresholds import ThresholdSpec, fit_gpd, flag, mvt_threshold, pot_threshold
 from madkit.importance import ExplainDataset
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from calibrate import calibrate  # noqa: E402
+from calibrate import calibrate
+from oracles import brute_clusters, brute_point_metrics, gpd_sample
 
 # criterion 6's ceiling on library time over calibration time.  On a 2-vCPU
 # VM the vectorised metrics read 8.7-11.5 and the per-element ones before
@@ -42,13 +39,6 @@ FIT_SCORE_CALIBRATION_RATIO = 2.4
 
 def report(n, detail):
     print(f"criterion {n} PASS: {detail}")
-
-
-def gpd_sample(rng, gamma, delta, size):
-    u = rng.random(size)
-    if gamma == 0.0:
-        return -delta * np.log1p(-u)
-    return delta * ((1.0 - u) ** -gamma - 1.0) / gamma
 
 
 def test_criterion_01_eigen_and_solve_paths_agree():
@@ -179,33 +169,6 @@ def test_criterion_05_vif_pruning_guarantee():
     )
 
 
-def brute_point_metrics(pred, truth):
-    """Stdlib-only reference: Counter over outcome pairs."""
-    counts = Counter(zip(pred, truth))
-    tp = counts[(1, 1)]
-    fp = counts[(1, 0)]
-    tn = counts[(0, 0)]
-    fn = counts[(0, 1)]
-    prec = tp / (tp + fp) if tp + fp else 0.0
-    rec = tp / (tp + fn) if tp + fn else 0.0
-    f1v = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
-    denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-    mccv = (tp * tn - fp * fn) / math.sqrt(denom) if denom else 0.0
-    return tp, fp, tn, fn, prec, rec, f1v, mccv
-
-
-def brute_runs(truth):
-    """Stdlib-only run finder via groupby."""
-    runs = []
-    pos = 0
-    for value, chunk in groupby(truth):
-        length = sum(1 for _ in chunk)
-        if value == 1:
-            runs.append((pos, pos + length - 1))
-        pos += length
-    return runs
-
-
 def test_criterion_06_metric_oracle_equivalence():
     """Prec/Recall/F1/MCC/RIC equal a brute-force reference on 1000 seeded
     label pairs of length 1e4; the madkit metric calls take under 10 s,
@@ -240,7 +203,7 @@ def test_criterion_06_metric_oracle_equivalence():
         t0 = time.perf_counter()
         clusters = extract_clusters(truth)
         library_s += time.perf_counter() - t0
-        runs = brute_runs(truth.tolist())
+        runs = brute_clusters(truth.tolist())
         assert [(cl.start, cl.end) for cl in clusters] == runs
         if runs:
             pred_list = pred.tolist()

@@ -1,15 +1,12 @@
 """VIF computation and iterative pruning."""
 
 import statistics
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from madkit.collinearity import (
-    _EXACT_R2_TOL,
     ConstantVariableError,
     _vifs_from_gram,
     center,
@@ -20,8 +17,8 @@ from madkit.data import SeriesMatrix, SmoothConfig
 from madkit.smoothing import smooth_matrix
 from madkit.synthetic import CollinearGroup, SynthConfig, generate
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from calibrate import calibrate  # noqa: E402
+import reference  # reference._vifs: one lstsq regression per variable, the oracle
+from calibrate import calibrate
 
 # vif_prune's ceiling on 110 independent plus 40 mixed series (T = 3000),
 # over calibration time (see test_prune_time_relative_to_calibration).  On
@@ -282,34 +279,6 @@ def test_prune_names_a_constant_variable_as_before():
         assert raised.value.variable == name
 
 
-def lstsq_vifs_from_gram(gram: np.ndarray) -> np.ndarray:
-    """``_vifs_from_gram`` as it was before it read the VIFs from one
-    eigendecomposition: one minimum-norm ``lstsq`` regression per variable
-    (the oracle).
-
-    Regressing row i on the others has normal equations
-    ``G[-i,-i] b = G[-i,i]``; the minimum-norm solution of that system is
-    the minimum-norm least-squares regression coefficient vector, so rank
-    deficiency (exact dependence) is handled without special cases.
-    """
-    m = gram.shape[0]
-    vifs = np.empty(m)
-    idx = np.arange(m)
-    for i in range(m):
-        others = idx != i
-        g_oo = gram[np.ix_(others, others)]
-        g_oi = gram[others, i]
-        coef, *_ = np.linalg.lstsq(g_oo, g_oi, rcond=None)
-        rss = gram[i, i] - g_oi @ coef
-        r2 = 1.0 - rss / gram[i, i]
-        r2 = min(max(r2, 0.0), 1.0)
-        if r2 >= 1.0 - _EXACT_R2_TOL:
-            vifs[i] = np.inf
-        else:
-            vifs[i] = 1.0 / (1.0 - r2)
-    return vifs
-
-
 def vif_tolerance(gram):
     """How far, relative, a finite VIF may lie from the oracle's."""
     return max(1e-9, 16 * np.finfo(np.float64).eps * np.linalg.cond(gram))
@@ -328,7 +297,7 @@ def assert_prune_matches_oracle(values, threshold):
     alive, removed = list(range(len(values))), []
     while len(alive) > 1:
         block = report.gram[np.ix_(alive, alive)]
-        got, want = _vifs_from_gram(block), lstsq_vifs_from_gram(block)
+        got, want = _vifs_from_gram(block), reference._vifs(block)
         tol = vif_tolerance(block)
         assert np.array_equal(np.isinf(got), np.isinf(want)), (alive, got, want)
         finite = np.isfinite(want)
@@ -409,7 +378,7 @@ def test_prune_matches_lstsq_oracle_on_exact_dependence():
     compared = []
     for seed in range(20):
         x = exact_dependence_block(seed)
-        assert np.isinf(lstsq_vifs_from_gram(vif_prune(x, 5.0).gram)).any()
+        assert np.isinf(reference._vifs(vif_prune(x, 5.0).gram)).any()
         compared.append(assert_prune_matches_oracle(x, 5.0))
     assert all(compared)
 
@@ -429,7 +398,7 @@ def test_prune_matches_lstsq_oracle_at_thresholds_next_to_a_vif():
     for x in blocks:
         gram = vif_prune(x, 1e300).gram
         assert 16 * np.finfo(np.float64).eps * np.linalg.cond(gram) < 1e-9
-        full = lstsq_vifs_from_gram(gram)
+        full = reference._vifs(gram)
         for vif in np.sort(full)[-3:]:
             for thr in (vif * (1 + 1e-9), vif * (1 - 1e-9)):
                 assert assert_prune_matches_oracle(x, thr)
@@ -494,7 +463,7 @@ def test_vif_is_inf_from_the_exact_r2_tolerance_on(vif, exact):
     x, z, w = np.tile([[1.0, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], 25)
     values = np.vstack([x, x + z / np.sqrt(vif - 1.0), w])
     got = compute_vifs(values)
-    oracle = lstsq_vifs_from_gram(vif_prune(values, 1e300).gram)
+    oracle = reference._vifs(vif_prune(values, 1e300).gram)
     assert np.array_equal(np.isinf(got), np.isinf(oracle))
     assert np.isinf(got[:2]).all() == exact and abs(got[2] - 1.0) < 1e-9
     if not exact:

@@ -1029,6 +1029,33 @@ def test_model_load_rejects_empty_retained_cell(tmp_path, capsys, retained):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        (FROZEN_V2_MODEL.replace("\n2,0.5\n", "\n2\n"), "sigma block is not 2 x 2"),
+        (FROZEN_V2_MODEL[: FROZEN_V2_MODEL.index("0.5,1\n")], "truncated sigma block"),
+        (FROZEN_V2_MODEL.replace(",-12.75\n", "\n"), "malformed gpd field"),
+    ],
+    ids=["short-sigma-row", "missing-sigma-row", "five-gpd-cells"],
+)
+def test_score_rejects_a_malformed_sigma_block_or_gpd_line(
+    tmp_path, capsys, text, message
+):
+    from madkit.cli import main
+
+    path = tmp_path / "model.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+    data = tmp_path / "data.csv"
+    values = np.arange(30.0).reshape(3, 10)
+    save_csv(SeriesMatrix(names=["flow,in", "temp", "p"], values=values), data)
+    capsys.readouterr()
+    assert main(["score", "--model", str(path), "--data", str(data)]) == 10
+    err = capsys.readouterr().err
+    assert err.startswith("error [ingest]") and message in err
+
+
+@pytest.mark.parametrize(
     "old, new, expected",
     [
         ("h: 3\nfilter_kind: median\n", "filter_kind: median\nh: 3\n", "'h'"),

@@ -2,9 +2,7 @@
 
 import math
 import statistics
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +23,8 @@ from madkit.importance import (
     train_forest,
 )
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from calibrate import calibrate  # noqa: E402
+import reference
+from calibrate import calibrate
 
 # train_forest's ceiling at the explain_window bench's size, over
 # calibration time (see test_forest_time_relative_to_calibration).  On a
@@ -239,41 +237,8 @@ def test_forest_noise_importance_is_flat():
 
 
 # ---------------------------------------------------------------------------
-# the float-sorting grower: the oracle for the rank-sorting one
-
-
-def _reference_best_split(sub, y, parent_gini):
-    """Best Gini split of an (s, q) float block by sorting its values."""
-    s = sub.shape[0]
-    order = np.argsort(sub, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(sub, order, axis=0)
-    ones = np.cumsum(y[order], axis=0, dtype=np.float64)
-    n_left = np.arange(1, s, dtype=np.float64)[:, None]
-    n_right = s - n_left
-    ones_left = ones[:-1]
-    ones_right = ones[-1] - ones_left
-    gini_left = 1.0 - (
-        ones_left**2 + (n_left - ones_left) ** 2
-    ) / (n_left * n_left)
-    gini_right = 1.0 - (
-        ones_right**2 + (n_right - ones_right) ** 2
-    ) / (n_right * n_right)
-    weighted = (n_left * gini_left + n_right * gini_right) / s
-    weighted[sorted_vals[:-1] >= sorted_vals[1:]] = np.inf  # duplicate values
-    flat = int(np.argmin(weighted))
-    pos, col = divmod(flat, weighted.shape[1])
-    best = weighted[pos, col]
-    if not np.isfinite(best):
-        return None
-    gain = parent_gini - float(best)
-    if gain <= 0.0:
-        return None
-    lo = sorted_vals[pos, col]
-    hi = sorted_vals[pos + 1, col]
-    thr = (lo + hi) / 2.0
-    if thr >= hi:  # midpoint rounded up to the right value
-        thr = lo
-    return gain, int(col), float(thr)
+# the float-sorting grower, with the benchmark's reference._best_split: the
+# oracle for the rank-sorting one
 
 
 def _reference_grow_tree(features, targets, t_min, q, seed):
@@ -310,7 +275,7 @@ def _reference_grow_tree(features, targets, t_min, q, seed):
         if s <= t_min or ones == 0 or ones == s:
             continue
         cols = rng.choice(p, size=q, replace=False)
-        split = _reference_best_split(x[idx[:, None], cols[None, :]], y[idx], gini)
+        split = reference._best_split(x[idx[:, None], cols[None, :]], y[idx], gini)
         if split is None:
             continue
         gain, col, thr = split

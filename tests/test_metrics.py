@@ -18,34 +18,8 @@ from madkit.metrics import (
     ric,
 )
 
-
-def brute_metrics(pred, truth):
-    """One explicit pass: the independent oracle for every pointwise metric."""
-    tp = fp = tn = fn = 0
-    for p, t in zip(pred, truth):
-        if t == 1 and p == 1:
-            tp += 1
-        elif t == 0 and p == 1:
-            fp += 1
-        elif t == 0 and p == 0:
-            tn += 1
-        else:
-            fn += 1
-    return tp, fp, tn, fn
-
-
-def brute_clusters(truth, min_length=1):
-    runs = []
-    start = None
-    for i, t in enumerate(truth):
-        if t == 1 and start is None:
-            start = i
-        elif t == 0 and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(truth) - 1))
-    return [(s, e) for s, e in runs if e - s + 1 >= min_length]
+import reference
+from oracles import brute_clusters, brute_point_metrics
 
 
 def test_confusion_frozen_example():
@@ -110,7 +84,8 @@ def test_confusion_matches_brute_force():
         pred = (rng.random(n) < 0.3).astype(int)
         truth = (rng.random(n) < 0.2).astype(int)
         c = confusion(pred, truth)
-        assert (c.tp, c.fp, c.tn, c.fn) == brute_metrics(pred, truth)
+        want = brute_point_metrics(pred.tolist(), truth.tolist())
+        assert (c.tp, c.fp, c.tn, c.fn) == want[:4]
 
 
 def test_clusters_frozen_example():
@@ -139,20 +114,6 @@ def test_clusters_match_brute_force():
         assert got == brute_clusters(truth, min_len)
 
 
-def padded_diff_clusters(truth, min_length=1):
-    """The run finder ``extract_clusters`` used before: edges of a padded
-    copy found with ``np.diff`` and two masks (the oracle)."""
-    padded = np.zeros(truth.size + 2, dtype=np.int8)
-    padded[1:-1] = truth
-    edges = np.diff(padded)
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
-    if min_length > 1:
-        keep = ends - starts + 1 >= min_length
-        starts, ends = starts[keep], ends[keep]
-    return starts, ends
-
-
 def test_clusters_match_the_padded_diff_oracle():
     rng = np.random.default_rng(21)
     vectors = [np.zeros(0), [0], [1], [0, 0], [1, 1], [1, 0], [0, 1],
@@ -164,8 +125,9 @@ def test_clusters_match_the_padded_diff_oracle():
         truth = np.asarray(vec, dtype=np.int8)
         for min_length in (1, 2, 3, 5):
             got = extract_clusters(truth, min_length)
-            want_starts, want_ends = padded_diff_clusters(truth, min_length)
-            for column, want in ((got.starts, want_starts), (got.ends, want_ends)):
+            runs = reference.runs(truth)
+            runs = runs[runs[:, 1] - runs[:, 0] + 1 >= min_length]
+            for column, want in ((got.starts, runs[:, 0]), (got.ends, runs[:, 1])):
                 assert column.dtype == want.dtype
                 assert np.array_equal(column, want), (truth, min_length)
 

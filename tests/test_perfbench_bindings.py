@@ -6,15 +6,11 @@ refactor that moves a call can zero a per-layer metric without any error.
 """
 
 import importlib
-import sys
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import tracing  # noqa: E402
-
-from madkit.cli import main  # noqa: E402
+import tracing
+from madkit.cli import main
 
 # The span's only binding is a label reader that has been removed; moving
 # it to the current reader is a change to the benchmark itself.

@@ -1368,6 +1368,31 @@ def test_cli_config_values_must_match_flag_types(
     assert f"error [config]: config key {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["explain", "--step5-window", "600-1800"],
+         "window must look like START:END, got '600-1800'"),
+        (["detect", "--config", "no_such.json"],
+         "cannot read config file no_such.json: "),
+        (["detect", "--config", "list.json"], "config file must hold a JSON object"),
+        ([*SYNTH_ARGV, "--collinear", "1"],
+         "collinear group must look like BASE:DEP,DEP[:NOISE], got '1'"),
+        ([*SYNTH_ARGV, "--anomaly", "1:2:3"],
+         "anomaly must look like START:LENGTH:VARS:MAGNITUDE, got '1:2:3'"),
+    ],
+    ids=["window", "missing_config", "list_config", "collinear", "anomaly"],
+)
+def test_cli_malformed_option_text_is_a_config_error(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+    assert main(argv) == EXIT_CODES["config"]
+    assert capsys.readouterr().err.startswith(f"error [config]: {message}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["list.json"]
+
+
 def test_cli_config_accepts_well_typed_values(tmp_path):
     # an int passes for a float flag, and null leaves the default
     cfg_path = tmp_path / "c.json"
@@ -1383,10 +1408,12 @@ def test_cli_config_accepts_well_typed_values(tmp_path):
     assert (cfg.threshold.alpha, cfg.label_column) == (0.01, None)
     assert options["summary"] is True
 
-    # a window as a list of two ints, and a repeatable flag as a list
+    # a window as a list of two ints (or as START:END on the command line),
+    # and a repeatable flag as a list
     cfg_path.write_text('{"step5_window": [600, 1800]}', encoding="utf-8")
-    args = _build_parser().parse_args(["explain", "--config", str(cfg_path)])
-    assert tuple(_pipeline_config(_merge_config(args)).step5_window) == (600, 1800)
+    for argv in (["--config", str(cfg_path)], ["--step5-window", "600:1800"]):
+        args = _build_parser().parse_args(["explain", *argv])
+        assert tuple(_pipeline_config(_merge_config(args)).step5_window) == (600, 1800)
     cfg_path.write_text('{"anomaly": ["600:10:1:5.0"]}', encoding="utf-8")
     args = _build_parser().parse_args([*SYNTH_ARGV, "--config", str(cfg_path)])
     assert _merge_config(args)["anomaly"] == ["600:10:1:5.0"]

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from madkit.data import SeriesMatrix
 from madkit.smoothing import (
@@ -14,6 +13,8 @@ from madkit.smoothing import (
     smooth_matrix,
     smooth_series,
 )
+
+import reference  # reference.smooth: the windowed np.median, the oracle
 
 
 def brute_smooth(x, h, kind):
@@ -28,13 +29,6 @@ def brute_smooth(x, h, kind):
         else:
             out.append((window[h // 2 - 1] + window[h // 2]) / 2.0)
     return np.array(out)
-
-
-def median_oracle(values, h):
-    """The windowed ``np.median`` that the block-sorted median replaced."""
-    if h == 1:
-        return values.copy()
-    return np.median(sliding_window_view(values, h, axis=-1), axis=-1)
 
 
 def test_median_frozen_example():
@@ -172,7 +166,7 @@ def test_median_matches_np_median_oracle_bit_for_bit():
             )
             for block in blocks:
                 for values in (np.ascontiguousarray(block), np.asfortranarray(block)):
-                    want = median_oracle(values, h)
+                    want = reference.smooth(values, h)
                     config = SmoothConfig(h, "median")
                     got = [np.stack([smooth_series(row, config) for row in values])]
                     if t - h + 1 >= 2:  # a SeriesMatrix needs two columns
@@ -189,7 +183,7 @@ def test_median_keeps_the_input_memory_order():
     for values in (np.ascontiguousarray(block), np.asfortranarray(block)):
         m = SeriesMatrix(["a", "b", "c", "d"], values)
         out = smooth_matrix(m, SmoothConfig(20, "median")).values
-        want = median_oracle(values, 20)
+        want = reference.smooth(values, 20)
         assert out.flags.c_contiguous == want.flags.c_contiguous
         assert out.flags.f_contiguous == want.flags.f_contiguous
 

@@ -22,13 +22,7 @@ from madkit.thresholds import (
     pot_threshold,
 )
 
-
-def gpd_sample(rng, gamma, delta, n):
-    """Inverse-CDF sampler, the independent oracle for the fitter."""
-    u = rng.random(n)
-    if gamma == 0.0:
-        return -delta * np.log1p(-u)
-    return delta * ((1.0 - u) ** -gamma - 1.0) / gamma
+from oracles import gpd_sample
 
 
 def nelder_mead_fit(y):
