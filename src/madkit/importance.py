@@ -243,29 +243,31 @@ def _cut_side(sq_ones, zeros, n):
     return sq_ones
 
 
-def _best_split(ranks: np.ndarray, w: np.ndarray, yw: np.ndarray, s: int, ones: int):
-    """Best Gini split of a node's ``(q, d)`` rank block.
+def _best_split(keys: np.ndarray, counts: np.ndarray, s: int, ones: int):
+    """Best Gini split of a node's ``(q, d)`` block of packed keys.
 
-    ``ranks`` holds one C-contiguous row per drawn variable: the dense
-    ranks (see :func:`_dense_ranks`) of the node's ``d`` distinct rows.
-    Row i was drawn ``w[i]`` times, ``yw[i]`` of them class 1; the node
-    holds ``s`` draws, ``ones`` of them class 1.  Each row is ordered by a
-    stable argsort of its ranks, which numpy radix-sorts on ``uint16``;
-    ranks order rows as their finite values do.  A cut's left draw and
-    class-1 counts are cumsums of the sorted ``w`` and ``yw``, exact
-    integers, so every cut gets the Gini bits that a float sort of all
-    ``s`` draws gives it; that sort's cuts between copies of one row are
-    ties, which it excludes, as this excludes cuts inside a run of tied
-    ranks.  Of equal minima the smallest draw position, then the lowest
-    column, wins.  Returns ``(gain, column, i, order, n_left,
-    ones_left)``: the rows ``order[:i + 1]`` go left, with ``n_left``
-    draws, ``ones_left`` of them class 1; or ``None`` when no column
-    admits a split with positive impurity decrease.
+    ``keys`` holds one C-contiguous row per drawn variable: the keys (see
+    :func:`train_forest`) of the node's ``d`` distinct rows, each a dense
+    rank in the high half and a row index in the low half.  ``counts[r]``
+    packs row r's draw and class-1 draw counts (see :func:`_grow_tree`);
+    the node holds ``s`` draws, ``ones`` of them class 1.  One in-place
+    sort of the unique keys gives each variable's row order and sorted
+    ranks; ranks order rows as their finite values do.  A cut's left draw
+    and class-1 counts unpack from one cumsum of the gathered ``counts``,
+    exact integers, so every cut gets the Gini bits that a float sort of
+    all ``s`` draws gives it; that sort's cuts between copies of one row
+    are ties, which it excludes, as this excludes cuts inside a run of
+    tied ranks.  Of equal minima the smallest draw position, then the
+    lowest column, wins.  Returns ``(gain, column, i, rows, n_left,
+    ones_left)``: ``rows`` in the column's sorted order, ``rows[:i + 1]``
+    going left with ``n_left`` draws, ``ones_left`` of them class 1; or
+    ``None`` when no column admits a split with positive impurity decrease.
     """
-    order = ranks.argsort(axis=1, kind="stable")
-    sorted_ranks = np.sort(ranks, axis=1)  # cheaper than gathering by order
-    n_left = w.take(order[:, :-1]).cumsum(axis=1)
-    ones_left = yw.take(order[:, :-1]).cumsum(axis=1)
+    keys.sort(axis=1)
+    half = keys.itemsize * 4
+    rows, sorted_ranks = keys & ((1 << half) - 1), keys >> half
+    left = counts.take(rows[:, :-1]).cumsum(axis=1)
+    n_left, ones_left = (left & 0xFFFFFFFF).astype(float), (left >> 32).astype(float)
     n_right = s - n_left
     zeros_left = n_left - ones_left
     ones_right = ones - ones_left
@@ -274,21 +276,22 @@ def _best_split(ranks: np.ndarray, w: np.ndarray, yw: np.ndarray, s: int, ones: 
     weighted += _cut_side(np.square(ones_right, out=ones_right), zeros_right, n_right)
     weighted /= s
     np.putmask(weighted, sorted_ranks[:, :-1] == sorted_ranks[:, 1:], np.inf)  # ties
-    q = len(ranks)
+    q = len(keys)
     at = np.arange(q), weighted.argmin(axis=1)
     best, _, col = min(zip(weighted[at].tolist(), n_left[at].tolist(), range(q)))
     gain = _gini(ones, s) - best
     if not gain > 0.0:  # also when every cut is a tie: best is inf
         return None
     i = int(at[1][col])
-    return gain, col, i, order[col], int(n_left[col, i]), int(ones_left[col, i])
+    rows = rows[col].astype(np.intp)
+    return gain, col, i, rows, int(n_left[col, i]), int(ones_left[col, i])
 
 
 def _dense_ranks(features: np.ndarray) -> np.ndarray:
     """The ``(p, n)`` dense ranks of an ``(n, p)`` block: row j gives each
     value's index among column j's sorted distinct values, so tied values
-    share a rank.  ``uint16`` up to 65,536 rows, a width numpy's stable
-    argsort radix-sorts."""
+    share a rank.  ``uint16`` up to 65,536 rows, so that a rank and a row
+    index pack into one ``uint32`` key (see :func:`train_forest`)."""
     n, p = features.shape
     ranks = np.empty((p, n), dtype=np.uint16 if n <= 1 << 16 else np.intp)
     for j in range(p):
@@ -298,31 +301,31 @@ def _dense_ranks(features: np.ndarray) -> np.ndarray:
 
 def _grow_tree(
     features_t: np.ndarray,
-    ranks_t: np.ndarray,
+    keys_t: np.ndarray,
     targets: np.ndarray,
     t_min: int,
     q: int,
     seed: int,
 ) -> DecisionTree:
-    """One tree, grown depth first.  ``features_t`` and ``ranks_t`` are
-    the ``(p, n)`` values and their dense ranks, one row per variable.  The
-    bootstrap is a multiset: each drawn row once, weighted by its draw
-    count ``mult``; a node's row and class-1 counts count draws.  A node
-    holds its distinct rows, gathers the drawn variables' ranks into one
-    ``(q, d)`` block and reads float values only at the two rows around
-    the chosen cut.  Its children are the two slices of the chosen
-    column's sorted rows, with their counts carried from the split; row
-    order within a node changes no bit, since no cut falls inside a tie
-    and the counts are exact integers.  A child that is a leaf is never
-    pushed: leaves draw no variables, so the rng stream is that of a
-    grower which pops them."""
+    """One tree, grown depth first, from the ``(p, n)`` values
+    ``features_t`` and their packed rank keys ``keys_t``.  The bootstrap
+    is a multiset: each drawn row once, weighted by its draw count
+    ``mult``; a node's row and class-1 counts count draws, packed per row
+    as ``mult | (mult * y) << 32``.  A node holds its distinct rows,
+    gathers the drawn variables' keys into one ``(q, d)`` block and reads
+    float values only at the two rows around the chosen cut.  Its children
+    are the two slices of the chosen column's sorted rows, with their
+    counts carried from the split; row order within a node changes no bit,
+    since no cut falls inside a tie and the counts are exact integers.  A
+    child that is a leaf is never pushed: leaves draw no variables, so the
+    rng stream is that of a grower which pops them."""
     rng = np.random.default_rng(seed)
     p, n = features_t.shape
     boot = rng.integers(0, n, size=n)
     mult = np.bincount(boot, minlength=n)
     oob = np.flatnonzero(mult == 0)
-    w = mult.astype(np.float64)
-    yw = w * targets
+    yw = mult * targets
+    counts = mult | yw << 32
 
     feat_l, thr_l, left_l, right_l = [], [], [], []
     n_l, c1_l, dec_l = [], [], []
@@ -346,12 +349,11 @@ def _grow_tree(
     while stack:
         node_id, rows, s, ones, depth = stack.pop()
         cols = rng.choice(p, size=q, replace=False)
-        block = ranks_t[cols].take(rows, axis=1)
-        split = _best_split(block, w[rows], yw[rows], s, ones)
+        block = keys_t[cols].take(rows, axis=1)
+        split = _best_split(block, counts, s, ones)
         if split is None:
             continue
-        gain, col, i, order, n_left, ones_left = split
-        rows = rows[order]
+        gain, col, i, rows, n_left, ones_left = split
         feature = int(cols[col])
         lo, hi = features_t[feature, rows[i : i + 2]]
         thr = (lo + hi) / 2.0
@@ -395,16 +397,17 @@ def train_forest(
     Per-tree seeds are derived deterministically from ``seed``, so the
     same call rebuilds bit-identical trees regardless of growth order.
 
-    Each variable's dense ranks are computed once per forest: ``uint16``
-    up to 65,536 rows, which numpy radix-sorts.  A tree takes its
-    bootstrap as a multiset, each drawn row once with its draw count, as
-    scikit-learn's forests do (Louppe, arXiv:1407.7502, 2014).  A node
-    sorts and scores the ``(q, d)`` block of its drawn variables' ranks
-    over its ``d`` distinct rows, about 0.63 of its draws, reads float
-    values only at the two rows around the chosen cut, and hands its
-    children slices of that column's sorted rows with their counts
-    carried from the split (see :func:`_grow_tree`).  The nodes, draws
-    and tree arrays are the ones a float sort of every draw grows.
+    Each variable's dense ranks are computed once per forest, each packed
+    with its row index into a unique key: ``rank << 16 | row`` as
+    ``uint32`` up to 65,536 rows, else ``rank << 32 | row`` as ``uint64``.
+    A tree takes its bootstrap as a multiset, each drawn row once with its
+    draw count, as scikit-learn's forests do (Louppe, arXiv:1407.7502,
+    2014).  A node sorts and scores the ``(q, d)`` keys of its drawn
+    variables over its ``d`` distinct rows, about 0.63 of its draws, reads
+    float values only at the two rows around the chosen cut, and hands its
+    children slices of that column's sorted rows with their counts carried
+    from the split (see :func:`_grow_tree`).  The nodes, draws and tree
+    arrays are the ones a float sort of every draw grows.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")
@@ -419,8 +422,10 @@ def train_forest(
         raise ValueError(f"q_features must lie in 1 .. {p}")
     features_t = np.ascontiguousarray(data.features.T)
     ranks_t = _dense_ranks(data.features)
+    half, key = (16, np.uint32) if ranks_t.dtype == np.uint16 else (32, np.uint64)
+    keys_t = ranks_t.astype(key) << half | np.arange(data.n_rows, dtype=key)
     trees = [
-        _grow_tree(features_t, ranks_t, data.targets, t_min, q_features, int(s))
+        _grow_tree(features_t, keys_t, data.targets, t_min, q_features, int(s))
         for s in np.random.SeedSequence(seed).generate_state(n_trees)
     ]
     return Forest(
@@ -471,29 +476,33 @@ def _null_deviance(y: np.ndarray) -> float:
     return -2.0 * (n1 * math.log(p_bar) + n0 * math.log(1.0 - p_bar))
 
 
-def _fit_glm(design: np.ndarray, y: np.ndarray, ridge: float, max_iter: int = 100):
+def _hessian(design: np.ndarray, w: np.ndarray, penalty: np.ndarray) -> np.ndarray:
+    """The penalized Newton Hessian ``design' diag(w) design + diag(penalty)``."""
+    hess = (design * w[:, None]).T @ design
+    hess[np.diag_indices_from(hess)] += penalty
+    return hess
+
+
+def _fit_glm(design: np.ndarray, y: np.ndarray, ridge: float, start=None, max_iter=100):
     """Newton (IRLS) fit of ridge logistic regression with free intercept.
 
     ``design`` is the intercept column of ones followed by the predictors.
-    Maximizes ``loglik - ridge/2 * |coef|^2`` (intercept unpenalized);
-    declares convergence when the largest coefficient update is below
-    1e-8.  The no-predictor case reduces to the closed-form null model so
-    deviance comparisons against it are exact.
+    Maximizes ``loglik - ridge/2 * |coef|^2`` (intercept unpenalized) from
+    ``start`` (default zero); declares convergence when the largest
+    coefficient update is below 1e-8.  The no-predictor case reduces to
+    the closed-form null model so deviance comparisons against it are exact.
     """
     n, p1 = design.shape
     if p1 == 1:
         p_bar = float(y.sum()) / n
         return np.empty(0), math.log(p_bar / (1.0 - p_bar)), _null_deviance(y), 0
-    beta = np.zeros(p1)
-    penalty = np.full(p1, ridge)
-    penalty[0] = 0.0
+    beta = np.zeros(p1) if start is None else start
+    penalty = np.r_[0.0, np.full(p1 - 1, ridge)]
     for it in range(1, max_iter + 1):
         eta = design @ beta
         prob = 1.0 / (1.0 + np.exp(-np.clip(eta, -35.0, 35.0)))
-        w = prob * (1.0 - prob)
         grad = design.T @ (y - prob) - penalty * beta
-        hess = (design * w[:, None]).T @ design
-        hess[np.diag_indices_from(hess)] += penalty
+        hess = _hessian(design, prob * (1.0 - prob), penalty)
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
@@ -514,20 +523,31 @@ def rcde(data: ExplainDataset, ridge: float = 1e-6) -> ImportanceReport:
     For variable x, ``((D_null - D_full) - (D_null - D_wo_x)) /
     (D_null - D_full)`` where ``D_wo_x`` refits without x.  With a single
     predictor this is exactly 1.  Raises when the full model explains no
-    deviance.
+    deviance.  Each refit starts from the full fit's one-step submodel
+    estimate (Lawless & Singhal, *Biometrics* 34:318, 1978), or from zero
+    if it does not converge within the full fit's Newton steps.
     """
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError("ridge must be finite and non-negative")
     design = np.hstack([np.ones((data.n_rows, 1)), data.features])
     y = data.targets.astype(np.float64)
-    d_null, d_full = _null_deviance(y), _fit_glm(design, y, ridge)[2]
+    coef, intercept, d_full, n_full = _fit_glm(design, y, ridge)
+    d_null = _null_deviance(y)
     denom = d_null - d_full
     if not denom > 0.0:
-        raise ValueError(
-            "full model explains no deviance; RCDE is undefined"
-        )
+        raise ValueError("full model explains no deviance; RCDE is undefined")
+    beta = np.r_[intercept, coef]
+    prob = 1.0 / (1.0 + np.exp(-np.clip(design @ beta, -35.0, 35.0)))
+    hess = _hessian(design, prob * (1.0 - prob), np.r_[0.0, np.full(coef.size, ridge)])
     scores = np.empty(data.n_features)
     for j in range(data.n_features):
-        d_wo = _fit_glm(np.delete(design, j + 1, axis=1), y, ridge)[2]
+        reduced = np.delete(design, j + 1, axis=1)
+        rest = np.delete(np.arange(beta.size), j + 1)
+        try:
+            h_rj = hess[rest, j + 1] * beta[j + 1]
+            shift = np.linalg.solve(hess[np.ix_(rest, rest)], h_rj)
+            d_wo = _fit_glm(reduced, y, ridge, beta[rest] + shift, n_full)[2]
+        except (ConvergenceError, np.linalg.LinAlgError):  # refit from zero
+            d_wo = _fit_glm(reduced, y, ridge)[2]
         scores[j] = ((d_null - d_full) - (d_null - d_wo)) / denom
     return _rank(data.feature_names, scores, "lr-rcde")

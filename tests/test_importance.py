@@ -8,23 +8,32 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import madkit.importance
+import madkit.pipeline
 from madkit.data import SeriesMatrix
 from madkit.importance import (
     ConvergenceError,
     DecisionTree,
     ExplainDataset,
+    ImportanceReport,
     SingleClassError,
     _dense_ranks,
+    _fit_glm,
     _gini,
+    _null_deviance,
     assemble_explain_dataset,
     gini_importance,
     oob_accuracy,
     rcde,
     train_forest,
 )
+from madkit.pipeline import PipelineConfig, run_explain
+from madkit.smoothing import SmoothConfig
+from madkit.thresholds import ThresholdSpec
 
 import reference
 from calibrate import calibrate
+from test_pipeline import separation_corpus
 
 # train_forest's ceiling at the explain_window bench's size, over
 # calibration time (see test_forest_time_relative_to_calibration).  On a
@@ -597,10 +606,11 @@ def test_logistic_deviance_gap_is_chi2_under_null():
     assert stats.chi2.sf(max(gap, 0.0), df=3) > 0.01
 
 
-def test_logistic_ridge_validation():
+@pytest.mark.parametrize("ridge", [-1.0, math.nan, math.inf])
+def test_logistic_ridge_validation(ridge):
     ds = planted_dataset(seed=9, n=50, p=3, informative=(0,))
     with pytest.raises(ValueError):
-        rcde(ds, ridge=-1.0)
+        rcde(ds, ridge=ridge)
 
 
 def test_logistic_unpenalized_separation_fails_loudly():
@@ -672,6 +682,112 @@ def test_rcde_deviance_ordering():
     for j in range(4):
         _, _, d_wo, _ = _fit_glm(np.delete(design, j + 1, axis=1), yf, ridge=1e-8)
         assert d_wo >= d_full - 1e-6
+
+
+def cold_rcde_scores(ds, ridge=1e-6):
+    """RCDE with every reduced model refitted from zero, the slow path the
+    warm-started refits replace; ``None`` where that refit does not
+    converge."""
+    design = np.hstack([np.ones((ds.n_rows, 1)), ds.features])
+    y = ds.targets.astype(np.float64)
+    d_null, d_full = _null_deviance(y), _fit_glm(design, y, ridge)[2]
+    scores = []
+    for j in range(ds.n_features):
+        try:
+            d_wo = _fit_glm(np.delete(design, j + 1, 1), y, ridge)[2]
+        except ConvergenceError:
+            scores.append(None)
+            continue
+        scores.append(((d_null - d_full) - (d_null - d_wo)) / (d_null - d_full))
+    return scores
+
+
+def traced_rcde(ds, warm_fails=False):
+    """``rcde(ds)`` scores in variable order, and one ``(warm, steps)`` per
+    ``_fit_glm`` call, ``steps`` None where it raised.  With ``warm_fails``
+    every call given a start raises before fitting."""
+    calls = []
+
+    def traced(design, y, ridge, start=None, max_iter=100):
+        warm = start is not None
+        try:
+            if warm and warm_fails:
+                raise ConvergenceError("warm start refused")
+            fit = _fit_glm(design, y, ridge, start, max_iter)
+        except ConvergenceError:
+            calls.append((warm, None))
+            raise
+        calls.append((warm, fit[3]))
+        return fit
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(madkit.importance, "_fit_glm", traced)
+        scores = dict(rcde(ds).ranking)
+    return [scores[name] for name in ds.feature_names], calls
+
+
+def separation_window(kind, h):
+    """The dataset ``run_explain`` assembles on the separation corpus."""
+    train, test = separation_corpus()
+    cfg = PipelineConfig(
+        train=train, test=test, smooth=SmoothConfig(h=h),
+        threshold=ThresholdSpec(kind=kind), importance="lr",
+    )
+    datasets = []
+
+    def capture(ds):
+        datasets.append(ds)
+        return ImportanceReport("lr-rcde", [])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(madkit.pipeline, "rcde", capture)
+        run_explain(cfg)
+    return datasets[0]
+
+
+def assert_matches_cold_loop(ds):
+    """Warm-started RCDE scores within 1e-12 of the cold loop wherever its
+    refit converges; returns how many warm refits fell back to zero."""
+    scores, calls = traced_rcde(ds)
+    cold = cold_rcde_scores(ds)
+    compared = [(w, c) for w, c in zip(scores, cold) if c is not None]
+    assert compared
+    for warm, ref in compared:
+        assert abs(warm - ref) <= 1e-12, (warm, ref)
+    return sum(1 for warm, steps in calls if warm and steps is None)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rcde_warm_refits_match_cold_loop_on_planted_sets(seed):
+    ds = planted_dataset(seed=seed, n=600, p=8, informative=(1, 5))
+    assert_matches_cold_loop(ds)
+
+
+@pytest.mark.parametrize("kind, h", [("mvt", 20), ("pot", 4), ("chi2", 20)])
+def test_rcde_warm_refits_match_cold_loop_on_pipeline_windows(kind, h):
+    fallbacks = assert_matches_cold_loop(separation_window(kind, h))
+    if kind == "mvt":  # this window exercises the restart from zero
+        assert fallbacks > 0
+
+
+def test_rcde_with_every_warm_start_failing_is_the_cold_loop():
+    ds = planted_dataset(seed=4, n=600, p=8, informative=(1, 5))
+    scores, calls = traced_rcde(ds, warm_fails=True)
+    assert scores == cold_rcde_scores(ds)  # bit for bit
+    assert sum(1 for warm, _ in calls if warm) == ds.n_features
+
+
+def test_rcde_warm_refits_take_at_most_half_the_cold_steps():
+    ds = planted_dataset(seed=0, n=2200, p=38)
+    design = np.hstack([np.ones((ds.n_rows, 1)), ds.features])
+    y = ds.targets.astype(np.float64)
+    cold = sum(
+        _fit_glm(np.delete(design, j + 1, 1), y, 1e-6)[3] for j in range(38)
+    )
+    _, calls = traced_rcde(ds)
+    refits = calls[1:]
+    assert len(refits) == 38 and all(warm and steps for warm, steps in refits)
+    assert 2 * sum(steps for _, steps in refits) <= cold, (refits, cold)
 
 
 def test_rcde_requires_explained_deviance():

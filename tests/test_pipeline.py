@@ -284,9 +284,9 @@ def test_run_explain_zero_flag_window_fails():
     assert err.value.exit_code == EXIT_CODES["explain"]
 
 
-def test_run_explain_both_fails_before_growing_a_forest(monkeypatch):
-    # RCDE cannot fit this window (separation); "both" must not grow a
-    # forest only to throw its ranking away
+def separation_corpus():
+    """Train and test blocks on which some windows' logistic fits do not
+    converge: at mvt with h = 4 the full fit fails."""
     anomalies = (
         AnomalySpec(start=3600, length=60, variables=(1, 2), magnitude=4.0),
         AnomalySpec(start=4200, length=30, variables=(6,), magnitude=-5.0),
@@ -296,9 +296,16 @@ def test_run_explain_both_fails_before_growing_a_forest(monkeypatch):
         seed=3, n=8, t_train=3000, t_test=1500, anomalies=anomalies,
         groups=groups,
     )
+    return train, test
+
+
+def test_run_explain_both_fails_before_growing_a_forest(monkeypatch):
+    # the logistic fit does not converge on this window (separation);
+    # "both" must not grow a forest only to throw its ranking away
+    train, test = separation_corpus()
     cfg = PipelineConfig(
-        train=train, test=test, smooth=SmoothConfig(h=20),
-        threshold=ThresholdSpec(kind="pot"), importance="both", rf_trees=10,
+        train=train, test=test, smooth=SmoothConfig(h=4),
+        threshold=ThresholdSpec(kind="mvt"), importance="both", rf_trees=10,
     )
     import madkit.pipeline
 
