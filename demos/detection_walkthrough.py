@@ -18,6 +18,7 @@ from madkit import (
     fit_detector,
     generate,
     ric,
+    split,
 )
 
 # ---------------------------------------------------------------------------
@@ -37,9 +38,8 @@ config = SynthConfig(
     ),
     seed=7,
 )
-matrix, truth, split_spec = generate(config)
-train = matrix.slice_time(0, split_spec.train_end)
-test = matrix.slice_time(split_spec.train_end, matrix.n_times)
+matrix, truth, train_end = generate(config)
+train, test = split(matrix, train_end)
 print(f"dataset: {matrix.n_vars} variables, {t_train} train / {t_test} test points")
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from madkit import (
     generate,
     run_detect,
     run_explain,
+    split,
 )
 
 # two variables misbehave for 150 samples in the test half
@@ -30,9 +31,8 @@ config = SynthConfig(
     ),
     seed=11,
 )
-matrix, truth, split_spec = generate(config)
-train = matrix.slice_time(0, split_spec.train_end)
-test = matrix.slice_time(split_spec.train_end, matrix.n_times)
+matrix, truth, train_end = generate(config)
+train, test = split(matrix, train_end)
 
 cfg = PipelineConfig(
     train=train,

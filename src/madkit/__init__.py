@@ -28,7 +28,6 @@ from .data import (
     GpdParameters,
     ModelFormatError,
     SeriesMatrix,
-    SplitSpec,
     load_csv,
     load_headerless,
     load_model,

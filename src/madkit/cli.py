@@ -477,13 +477,13 @@ def _cmd_synth(cfg: PipelineConfig, options: dict) -> None:
         anomalies=anomalies,
         **_given(seed=options.get("seed")),
     )
-    matrix, truth, spec = generate(config)
+    matrix, truth, train_end = generate(config)
     prefix = options.get("out") or "synth"
-    train_m, test_m = split(matrix, spec)
+    train_m, test_m = split(matrix, train_end)
     save_csv(train_m, f"{prefix}_train.csv")
     save_csv(test_m, f"{prefix}_test.csv")
     with _csv_file(f"{prefix}_truth.csv") as fh:
-        write_table(fh, ["label"], [truth[spec.train_end :]])
+        write_table(fh, ["label"], [truth[train_end:]])
     print(
         f"wrote {prefix}_train.csv ({train_m.n_times} rows), "
         f"{prefix}_test.csv ({test_m.n_times} rows), "

@@ -125,27 +125,15 @@ def as_labels(vec, what: str = "labels") -> np.ndarray:
     return arr.astype(np.int8, copy=False)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Column index at which training data ends and test data begins."""
-
-    train_end: int
-
-    def __post_init__(self):
-        if self.train_end < 2:
-            raise ValueError("train_end must be at least 2")
-
-
-def split(matrix: SeriesMatrix, spec: SplitSpec) -> tuple[SeriesMatrix, SeriesMatrix]:
-    """Split a matrix into (training, test) halves at ``spec.train_end``."""
-    if not spec.train_end < matrix.n_times:
+def split(matrix: SeriesMatrix, train_end: int) -> tuple[SeriesMatrix, SeriesMatrix]:
+    """Split a matrix into (training, test) halves at column ``train_end``."""
+    if train_end < 2:
+        raise ValueError("train_end must be at least 2")
+    if not train_end < matrix.n_times:
         raise ValueError(
-            f"train_end {spec.train_end} leaves no test columns "
-            f"(T = {matrix.n_times})"
+            f"train_end {train_end} leaves no test columns (T = {matrix.n_times})"
         )
-    return matrix.slice_time(0, spec.train_end), matrix.slice_time(
-        spec.train_end, matrix.n_times
-    )
+    return matrix.slice_time(0, train_end), matrix.slice_time(train_end, matrix.n_times)
 
 
 @dataclass

@@ -25,7 +25,6 @@ from .data import (
     DetectorModel,
     SeriesMatrix,
     SmoothConfig,
-    SplitSpec,
     as_labels,
     load_csv,
     load_labels,
@@ -187,7 +186,7 @@ def _resolve_data(cfg: PipelineConfig):
             if cfg.train_end is None:
                 raise ValueError("data source requires train_end")
             data = load_matrix(cfg.data, cfg.label_column)
-            return split_matrix(data, SplitSpec(cfg.train_end))
+            return split_matrix(data, cfg.train_end)
         if cfg.train is None or cfg.test is None:
             raise ValueError(
                 "provide train and test sources, or data with train_end"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SeriesMatrix, SplitSpec
+from .data import SeriesMatrix
 
 _BURN_IN = 500
 _FACTOR_AR = 0.7
@@ -117,8 +117,8 @@ def _ar1(rng: np.random.Generator, phi: float, t: int, rows: int) -> np.ndarray:
     return series[:, _BURN_IN:]
 
 
-def generate(config: SynthConfig) -> tuple[SeriesMatrix, np.ndarray, SplitSpec]:
-    """Generate (matrix, truth labels, split) from a configuration.
+def generate(config: SynthConfig) -> tuple[SeriesMatrix, np.ndarray, int]:
+    """Generate (matrix, truth labels, train_end) from a configuration.
 
     The ``int8`` truth vector spans the full timeline and is 1 exactly on
     the configured anomaly windows (training positions are all 0).
@@ -154,4 +154,4 @@ def generate(config: SynthConfig) -> tuple[SeriesMatrix, np.ndarray, SplitSpec]:
     matrix = SeriesMatrix(
         names=[f"v{i + 1}" for i in range(n)], values=values
     )
-    return matrix, truth, SplitSpec(config.t_train)
+    return matrix, truth, config.t_train

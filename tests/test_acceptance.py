@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from madkit.collinearity import center, compute_vifs, vif_prune
-from madkit.data import SeriesMatrix, load_headerless
+from madkit.data import SeriesMatrix, load_headerless, split
 from madkit.importance import rcde, gini_importance, train_forest
 from madkit.metrics import confusion, extract_clusters, f1, mcc, precision, recall, ric
 from madkit.pipeline import PipelineConfig, apply_detector, fit_detector, run_detect
@@ -253,9 +253,8 @@ def test_criterion_07_synthetic_end_to_end():
         anomalies=anomalies,
         seed=107,
     )
-    matrix, truth, spec = generate(cfg)
-    train = matrix.slice_time(0, spec.train_end)
-    test = matrix.slice_time(spec.train_end, matrix.n_times)
+    matrix, truth, train_end = generate(cfg)
+    train, test = split(matrix, train_end)
     truth_test = truth[t_train:]
     clusters = extract_clusters(truth_test, min_length=100)
     assert len(clusters) == 3

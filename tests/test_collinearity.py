@@ -328,11 +328,11 @@ def synth_train_block(seed, noise_scales):
         members = [int(v) for v in picks[used:used + size]]
         used += size
         groups.append(CollinearGroup(members[0], tuple(members[1:]), noise))
-    matrix, _, split = generate(SynthConfig(
+    matrix, _, train_end = generate(SynthConfig(
         n=max(n, used), t_train=int(rng.integers(300, 2000)), t_test=10,
         collinear_groups=tuple(groups), seed=seed,
     ))
-    return matrix.values[:, :split.train_end]
+    return matrix.values[:, :train_end]
 
 
 def exact_dependence_block(seed):

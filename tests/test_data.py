@@ -16,7 +16,6 @@ from madkit.data import (
     ModelFormatError,
     SeriesMatrix,
     SmoothConfig,
-    SplitSpec,
     _read_labels_bulk,
     _read_labels_rows,
     as_labels,
@@ -168,14 +167,16 @@ def test_label_consumers_reject_non_binary(tmp_path, bad):
 
 
 def test_split_spec_minimum():
-    with pytest.raises(ValueError):
-        SplitSpec(1)
-    assert SplitSpec(2).train_end == 2
+    m = make_matrix(n=2, t=5)
+    with pytest.raises(ValueError, match="at least 2"):
+        split(m, 1)
+    train, test = split(m, 2)
+    assert (train.n_times, test.n_times) == (2, 3)
 
 
 def test_split_halves_align():
     m = make_matrix(n=2, t=10)
-    train, test = split(m, SplitSpec(6))
+    train, test = split(m, 6)
     assert train.n_times == 6
     assert test.n_times == 4
     assert np.array_equal(
@@ -186,7 +187,7 @@ def test_split_halves_align():
 def test_split_requires_test_columns():
     m = make_matrix(n=2, t=5)
     with pytest.raises(ValueError, match="no test columns"):
-        split(m, SplitSpec(5))
+        split(m, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +675,18 @@ def test_load_labels_memory_on_short_lines_stays_near_the_output_size(tmp_path):
         tracemalloc.stop()
     assert labels.size == n
     assert peak < 2 * labels.nbytes + 8 * data_module._LABEL_BLOCK, peak
+
+
+@pytest.mark.parametrize("tail", [b"\n" + b"2,1\n" * 10, b""], ids=["rows", "eof"])
+def test_load_labels_bulk_takes_a_line_longer_than_a_shrunk_run(tmp_path, tail):
+    # 20,000 short lines shrink the runs of a block to fewer bytes than the
+    # 100,000-byte line after them, which then makes a run of its own, up
+    # to its newline or to the end of the file
+    data = b"a,flag\n" + b"1,0\n" * 20_000 + b"x" * 100_000 + b",1" + tail
+    path = tmp_path / "labels.csv"
+    path.write_bytes(data)
+    assert _read_labels_bulk(io.BytesIO(data), "flag", path) is not None
+    assert np.array_equal(load_labels(path, "flag"), _read_labels_rows(path, "flag"))
 
 
 def test_load_csv_reads_a_well_formed_labelled_file_with_numpy(

@@ -23,6 +23,7 @@ from madkit.data import (
     load_model,
     save_csv,
     save_model,
+    split,
 )
 from madkit.metrics import ClusterColumns
 from madkit.pipeline import (
@@ -57,9 +58,8 @@ def corpus(seed=0, n=6, t_train=3000, t_test=800, anomalies=None, groups=()):
         anomalies=anomalies,
         seed=seed,
     )
-    matrix, truth, spec = generate(cfg)
-    train = matrix.slice_time(0, spec.train_end)
-    test = matrix.slice_time(spec.train_end, matrix.n_times)
+    matrix, truth, train_end = generate(cfg)
+    train, test = split(matrix, train_end)
     return train, test, truth
 
 
@@ -680,8 +680,8 @@ def _truth_case(tmp_path, capsys, monkeypatch, seed, to):
         "--anomaly", "300:40:0:5.0", "--anomaly", "4000:100:1,2:5.0",
         "--seed", str(seed), "--out", str(prefix),
     ]) == 0
-    _, truth, spec = generate(config)
-    rows = [[int(v)] for v in truth[spec.train_end :]]
+    _, truth, train_end = generate(config)
+    rows = [[int(v)] for v in truth[train_end:]]
     return (tmp_path / "c_truth.csv").read_bytes(), _csv_writer_bytes(["label"], rows)
 
 
@@ -1163,6 +1163,28 @@ def test_model_vif_may_be_inf_but_not_nan(tmp_path):
         load_with_vif("nan")
 
 
+def test_cli_score_rejects_scatter_of_another_size(tmp_path, capsys):
+    # the last retained variable moved into vif_trace: the variables are
+    # still each in one place, but mu and sigma keep its row
+    train_csv, test_csv, _ = write_corpus(tmp_path, seed=9)
+    model_path = tmp_path / "model.txt"
+    assert main(["fit", "--train", str(train_csv), "--out", str(model_path)]) == 0
+    model = load_model(model_path)
+    *kept, moved = model.retained
+    lines = model_path.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("retained:"))
+    j = next(i for i, line in enumerate(lines) if line.startswith("vif_trace:"))
+    lines[i] = "retained: " + ",".join(map(str, kept))
+    lines[j] += f";{moved},1.5"
+    model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["score", "--model", str(model_path), "--data", str(test_csv)])
+    assert code == EXIT_CODES["ingest"] == 10
+    err = capsys.readouterr().err
+    assert err.startswith("error [ingest]")
+    assert "scatter size must match retained count" in err
+
+
 @pytest.mark.parametrize(
     "key, cell, value, wording",
     [
@@ -1170,8 +1192,10 @@ def test_model_vif_may_be_inf_but_not_nan(tmp_path):
         ("mu", 0, "x", "corrupted model file: could not convert"),
         ("h", 0, "0", "invalid model contents: window length h must be at least 1"),
         ("filter_kind", 0, "mode", "invalid model contents: kind must be one of"),
+        ("threshold_kind", 0, "max",
+         "invalid model contents: threshold_kind must be one of ('mvt', 'pot', 'chi2')"),
     ],
-    ids=["domain", "syntax", "h", "filter_kind"],
+    ids=["domain", "syntax", "h", "filter_kind", "threshold_kind"],
 )
 def test_cli_score_words_model_faults_by_kind(
     tmp_path, capsys, key, cell, value, wording
@@ -1226,6 +1250,11 @@ def test_cli_rejects_wrong_inputs_loudly(tmp_path, capsys):
     labels = ["--pred", str(pred), "--truth", str(truth), "--pred-column", "myflag"]
     cases = [
         (["explain", *data, "--rf-trees", "0"], "explain", "n_trees must be"),
+        (
+            ["explain", *data, "--step5-extra", "-1"],
+            "explain",
+            "n_extra must be non-negative",
+        ),
         (
             ["explain", *data, "--rf-seed", "-1"],
             "explain",
@@ -1387,8 +1416,15 @@ def test_cli_config_values_must_match_flag_types(
          "collinear group must look like BASE:DEP,DEP[:NOISE], got '1'"),
         ([*SYNTH_ARGV, "--anomaly", "1:2:3"],
          "anomaly must look like START:LENGTH:VARS:MAGNITUDE, got '1:2:3'"),
+        ([*SYNTH_ARGV, "--collinear", "0:1:-0.5"], "noise_scale must be non-negative"),
+        ([*SYNTH_ARGV, "--anomaly", "450:10::5.0"],
+         "an anomaly must touch at least one variable"),
+        (["explain", "--top", "0"], "top must be at least 1"),
     ],
-    ids=["window", "missing_config", "list_config", "collinear", "anomaly"],
+    ids=[
+        "window", "missing_config", "list_config", "collinear", "anomaly",
+        "negative_noise", "no_variables", "top",
+    ],
 )
 def test_cli_malformed_option_text_is_a_config_error(
     tmp_path, monkeypatch, capsys, argv, message

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import madkit
-from madkit.data import save_csv
+from madkit.data import save_csv, split
 from madkit.pipeline import EXIT_CODES
 from madkit.synthetic import AnomalySpec, SynthConfig, generate
 
@@ -60,12 +60,13 @@ def data(tmp_path_factory):
         anomalies=(AnomalySpec(start=4100, length=40, variables=(1,), magnitude=8.0),),
         seed=3,
     )
-    matrix, labels, spec = generate(config)
+    matrix, labels, train_end = generate(config)
     train, test = tmp / "train.csv", tmp / "test.csv"
-    save_csv(matrix.slice_time(0, spec.train_end), train)
-    save_csv(matrix.slice_time(spec.train_end, matrix.n_times), test)
+    train_m, test_m = split(matrix, train_end)
+    save_csv(train_m, train)
+    save_csv(test_m, test)
     truth = tmp / "truth.csv"
-    truth.write_text("label\n" + "".join(f"{v}\n" for v in labels[spec.train_end :]))
+    truth.write_text("label\n" + "".join(f"{v}\n" for v in labels[train_end:]))
     return tmp, ["--train", str(train), "--test", str(test)]
 
 

@@ -8,11 +8,11 @@ from madkit.synthetic import AnomalySpec, CollinearGroup, SynthConfig, generate
 
 def test_shapes_names_and_split():
     cfg = SynthConfig(n=4, t_train=100, t_test=50, seed=0)
-    matrix, truth, spec = generate(cfg)
+    matrix, truth, train_end = generate(cfg)
     assert matrix.values.shape == (4, 150)
     assert matrix.names == ["v1", "v2", "v3", "v4"]
     assert len(truth) == 150
-    assert spec.train_end == 100
+    assert train_end == 100
 
 
 def test_truth_all_zero_without_anomalies():

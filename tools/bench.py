@@ -18,6 +18,13 @@ keeps the last two JSON lines of each run: the run record and the metrics
   and ``peak_rss_mb``;
 * ``per_layer``: the T = 1 run's metrics, with their units; layer times are
   raw seconds;
+* ``layer_scale``: the median of ``scaled_wall_s / wall_s`` over the T = 1
+  run's traced operations, the factor that takes a raw second on this
+  machine to a second at the reference speed;
+* ``per_layer_scaled``: every per-layer time (unit ``s``) times
+  ``layer_scale``, so that layer times compare with the end-to-end times
+  and across files; ``trace.overhead_s`` is left out, because perfbench
+  already computes it from scaled times;
 * ``inputs_sha256`` and ``correct``, true when both runs are.
 
 and, once, the environment of the first run (with ``git_commit``) and
@@ -71,12 +78,16 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         try:
             record, plain = run(workload, args.seed, args.seconds, 0)
-            _, traced = run(workload, args.seed, args.seconds, 1)
+            traced_record, traced = run(workload, args.seed, args.seconds, 1)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         ops = [op for op in record["ops"] if "scaled_wall_s" in op]
         correct = plain["correct"] and traced["correct"]
+        layer_scale = statistics.median(
+            op["scaled_wall_s"] / op["wall_s"]
+            for op in traced_record["ops"] if op["traced"] and "wall_s" in op
+        )
         bench["environment"] = bench["environment"] or record["environment"]
         bench["correct"] = bench["correct"] and correct
         bench["workloads"][workload] = {
@@ -89,6 +100,12 @@ def main(argv=None) -> int:
                 "peak_rss_mb": spread([op["peak_rss_mb"] for op in ops]),
             },
             "per_layer": traced["metrics"],
+            "layer_scale": layer_scale,
+            "per_layer_scaled": {
+                name: {"value": metric["value"] * layer_scale, "unit": "s"}
+                for name, metric in traced["metrics"].items()
+                if metric["unit"] == "s" and name != "trace.overhead_s"
+            },
         }
         print(f"{workload}: wall_s {plain['metrics']['wall_s']['value']:.3f}, "
               f"correct {correct}", file=sys.stderr)
