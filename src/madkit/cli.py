@@ -22,7 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FILTER_KINDS, THRESHOLD_KINDS, save_csv, save_model, split, write_table
+from .data import (
+    FILTER_KINDS, THRESHOLD_KINDS, load_labels, save_csv, save_model, split, write_table
+)
 from .metrics import ClusterColumns
 from .pipeline import (
     EXIT_CODES,
@@ -32,14 +34,13 @@ from .pipeline import (
     PipelineError,
     _stage,
     apply_detector,
-    load_evaluation_labels,
     load_matrix,
     load_or_fit_model,
     run_detect,
     run_evaluate,
     run_explain,
 )
-from .smoothing import SmoothConfig
+from .smoothing import SmoothConfig, align_labels
 from .synthetic import AnomalySpec, CollinearGroup, SynthConfig, generate
 from .thresholds import ThresholdSpec
 
@@ -440,6 +441,11 @@ def _print_summary(report: dict) -> None:
 
 def _cmd_explain(cfg: PipelineConfig, options: dict) -> None:
     path = options.get("model")
+    fit = ("smooth-window smooth-kind vif-threshold threshold "
+           "pot-q pot-percentile chi2-alpha").split()
+    ignored = [f"--{k}" for k in fit if path and options[k] is not None]
+    if ignored:  # the model file fixes steps 1-4
+        raise ValueError(f"explain --model takes no fit options: {', '.join(ignored)}")
     model = load_or_fit_model(cfg, path)[0] if path else None
     reports = run_explain(cfg, model)
     payload = [
@@ -453,12 +459,16 @@ def _cmd_explain(cfg: PipelineConfig, options: dict) -> None:
     _emit(payload, options.get("out"))
 
 
+def _read_label_column(path, column: str) -> np.ndarray:
+    """The 0/1 column ``column`` of CSV file ``path``, read as stage ingest."""
+    with _stage("ingest"):
+        return load_labels(path, column)
+
+
 def _cmd_evaluate(cfg: PipelineConfig, options: dict) -> None:
-    pred, truth = load_evaluation_labels(
-        options["pred"], options["pred-column"] or "flag",
-        options["truth"], options["truth-column"] or "label", cfg.smooth.h,
-    )
-    block = run_evaluate(pred, truth, cfg.min_cluster_len)
+    pred = _read_label_column(options["pred"], options["pred-column"] or "flag")
+    truth = _read_label_column(options["truth"], options["truth-column"] or "label")
+    block = run_evaluate(pred, align_labels(truth, cfg.smooth.h), cfg.min_cluster_len)
     _emit(block, options.get("out"))
 
 

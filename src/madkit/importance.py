@@ -50,7 +50,7 @@ class ExplainDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.targets = np.asarray(self.targets).astype(np.int8)
+        self.targets = as_labels(self.targets, "targets")
         n, p = self.features.shape
         if n < 2:
             raise ValueError("need at least two rows")

@@ -27,7 +27,6 @@ from .data import (
     SmoothConfig,
     as_labels,
     load_csv,
-    load_labels,
     load_model,
     split as split_matrix,
 )
@@ -41,7 +40,7 @@ from .importance import (
 from .metrics import confusion, extract_clusters, f1, mcc, precision, recall, ric
 # the pipeline solves its own blocks in place, under the name perfbench traces
 from .scoring import _score_in_place as score_all, fit_scatter
-from .smoothing import align_labels, smooth_matrix
+from .smoothing import smooth_matrix
 from .thresholds import (
     ThresholdSpec,
     chi2_threshold,
@@ -448,16 +447,6 @@ def run_explain(
             )
             rf = [gini_importance(forest, dataset)]
     return rf + lr
-
-
-def load_evaluation_labels(pred, pred_column, truth, truth_column, h: int):
-    """The 0/1 ``pred_column`` of CSV file ``pred`` and ``truth_column`` of
-    ``truth``, the truth aligned to the window-``h`` smoothed timeline."""
-    with _stage("ingest"):
-        pred = load_labels(pred, pred_column)
-        truth = load_labels(truth, truth_column)
-    with _stage("config"):
-        return pred, align_labels(truth, h)
 
 
 def run_evaluate(pred, truth, min_cluster_len: int = 1) -> dict:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import SeriesMatrix, SmoothConfig
+from .data import SeriesMatrix, SmoothConfig, as_labels
 
 # windows sorted at once by the median: h = 20 makes a 640 KiB block
 _MEDIAN_BLOCK = 4096
@@ -52,17 +52,17 @@ def smooth_matrix(matrix: SeriesMatrix, config: SmoothConfig) -> SeriesMatrix:
 
 
 def align_labels(labels: np.ndarray, h: int) -> np.ndarray:
-    """Map original-timeline labels onto the smoothed timeline.
+    """Map original-timeline 0/1 labels onto the smoothed timeline.
 
     Smoothed position ``j`` carries the original label at the window end
     ``j + h - 1``, so the aligned vector is ``labels[h - 1:]``.
     """
-    labels = np.asarray(labels)
+    labels = as_labels(labels)
     if h < 1:
         raise ValueError("window length h must be at least 1")
-    if labels.shape[-1] < h:
+    if labels.size < h:
         raise ValueError("label vector shorter than the window")
-    return labels[..., h - 1 :]
+    return labels[h - 1 :]
 
 
 def _smooth_last_axis(values: np.ndarray, config: SmoothConfig) -> np.ndarray:

@@ -205,6 +205,14 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.values, m.values)
 
 
+def test_save_csv_rejects_labels_of_another_length(tmp_path):
+    m = make_matrix(n=2, t=20, seed=1)
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="label length must match matrix T"):
+        save_csv(m, path, labels=np.zeros(19, dtype=int))
+    assert not path.exists()
+
+
 def test_csv_round_trip_with_labels(tmp_path):
     m = make_matrix(n=2, t=20, seed=1)
     lv = (np.arange(20) % 3 == 0).astype(int)
@@ -753,6 +761,13 @@ def test_headerless_errors_give_file_line_numbers(tmp_path):
     with pytest.raises(CsvFormatError) as info:
         load_headerless(path)
     assert str(info.value) == f"{path}: line 3, column 'v2': cannot parse 'x' as a real"
+
+
+def test_headerless_loader_rejects_a_file_of_blank_lines(tmp_path):
+    path = tmp_path / "plain.txt"
+    path.write_text("\n  \n\t\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError, match="no data rows"):
+        load_headerless(path)
 
 
 def test_headerless_loader_handles_tabs_and_spaces(tmp_path):

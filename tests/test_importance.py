@@ -153,6 +153,17 @@ def test_dataset_rejects_non_finite_features(bad):
         make_dataset(x, [0, 1, 0, 1, 0, 1])
 
 
+@pytest.mark.parametrize("bad", [0.5, 2], ids=["fraction", "two"])
+def test_dataset_rejects_non_binary_targets(bad):
+    # a fraction is not truncated to class 0, nor a 2 taken as a third class;
+    # valid targets keep their values as int8
+    x = np.arange(80, dtype=np.float64).reshape(40, 2)
+    with pytest.raises(ValueError, match="targets must contain only 0 and 1"):
+        make_dataset(x, [0, bad, 1, 1] * 10)
+    targets = make_dataset(x, [0.0, 0.0, 1.0, 1.0] * 10).targets
+    assert targets.dtype == np.int8 and targets.tolist() == [0, 0, 1, 1] * 10
+
+
 # ---------------------------------------------------------------------------
 # random forest
 
@@ -226,6 +237,14 @@ def test_forest_parameter_validation():
         train_forest(ds, t_min=0)
     with pytest.raises(ValueError):
         train_forest(ds, q_features=5)
+
+
+def test_gini_importance_rejects_a_dataset_of_another_width():
+    narrow = planted_dataset(seed=5, n=60, p=2, informative=(0,))
+    wide = planted_dataset(seed=5, n=60, p=3, informative=(0,))
+    forest = train_forest(narrow, n_trees=2)
+    with pytest.raises(ValueError, match="feature count does not match the forest"):
+        gini_importance(forest, wide)
 
 
 def test_forest_noise_importance_is_flat():
@@ -621,6 +640,16 @@ def test_logistic_unpenalized_separation_fails_loudly():
     with pytest.raises(ConvergenceError):
         rcde(ds, ridge=0.0)
     rcde(ds, ridge=1e-2)  # a real penalty restores convergence
+
+
+def test_logistic_unpenalized_duplicate_column_fails_loudly():
+    # two equal columns make the unpenalized Hessian exactly singular
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((60, 3))
+    x[:, 2] = x[:, 1]
+    y = (x[:, 0] + rng.standard_normal(60) > 0).astype(int)
+    with pytest.raises(ConvergenceError, match=r"singular update \(separation\?\)"):
+        rcde(make_dataset(x, y), ridge=0.0)
 
 
 def test_convergence_error_names_cli_remedies():

@@ -1207,6 +1207,18 @@ def test_cli_score_words_model_faults_by_kind(
     assert err.startswith("error [ingest]") and wording in err
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+def test_cli_score_rejects_empty_model_file(tmp_path, capsys, text):
+    _, test_csv, _ = write_corpus(tmp_path, seed=9)
+    model_path = tmp_path / "empty.txt"
+    model_path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = main(["score", "--model", str(model_path), "--data", str(test_csv)])
+    assert code == EXIT_CODES["ingest"] == 10
+    err = capsys.readouterr().err
+    assert err == f"error [ingest]: {model_path}: empty model file\n"
+
+
 @pytest.mark.parametrize("extra", ["junk: 1", "1,1"], ids=["junk", "sigma-row"])
 def test_cli_score_rejects_leftover_model_line(tmp_path, capsys, extra):
     # a line after the last field was once ignored, and the model scored
@@ -1642,6 +1654,37 @@ def test_cli_exit_codes(tmp_path, capsys):
          "--threshold", "pot"]
     ) == EXIT_CODES["threshold"]
     assert "error [threshold]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--smooth-window", "9"], "--smooth-window"),
+        (
+            ["--threshold", "chi2", "--vif-threshold", "2.5"],
+            "--vif-threshold, --threshold",
+        ),
+        ({"pot_q": 0.01, "label_column": "label"}, "--pot-q"),
+    ],
+    ids=["window", "threshold-and-vif", "config-file"],
+)
+def test_cli_explain_model_rejects_fit_options(tmp_path, capsys, extra, named):
+    # a model file fixes steps 1-4, so these options would be ignored; the
+    # check comes before any file is read, so none of the files named here
+    # exists.  --label-column applies to the CSVs and stays allowed.
+    missing = [str(tmp_path / name) for name in ("model.txt", "train.csv", "test.csv")]
+    if isinstance(extra, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(extra), encoding="utf-8")
+        extra = ["--config", str(config)]
+    out = tmp_path / "out.json"
+    argv = ["explain", "--model", missing[0]]
+    argv += ["--train", missing[1], "--test", missing[2]]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out), *extra]) == EXIT_CODES["config"] == 2
+    err = capsys.readouterr().err
+    assert err == f"error [config]: explain --model takes no fit options: {named}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fault", ["missing", "malformed"])

@@ -143,6 +143,13 @@ def test_label_alignment_validation():
         align_labels(np.array([0, 1]), 3)
 
 
+@pytest.mark.parametrize("bad", [0.5, 2], ids=["fraction", "two"])
+def test_label_alignment_rejects_non_binary(bad):
+    # aligned labels feed the metrics, so they are checked like any others
+    with pytest.raises(ValueError, match="labels must contain only 0 and 1"):
+        align_labels(np.array([0, bad, 1]), 1)
+
+
 def test_effective_length_bookkeeping():
     # T=100 and T=50 both smoothed with h=10 leave T-9 positions
     rng = np.random.default_rng(1)
