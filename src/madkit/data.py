@@ -93,13 +93,6 @@ class SeriesMatrix:
     def n_times(self) -> int:
         return self.values.shape[1]
 
-    def select(self, indices) -> "SeriesMatrix":
-        """Return a new matrix containing only the given variable rows."""
-        indices = list(indices)
-        return SeriesMatrix(
-            names=[self.names[i] for i in indices], values=self.values[indices]
-        )
-
     def slice_time(self, start: int, stop: int) -> "SeriesMatrix":
         """Return columns ``start:stop`` as a new matrix."""
         return SeriesMatrix(
@@ -567,26 +560,14 @@ def load_headerless(path, name_prefix: str = "v") -> SeriesMatrix:
     return SeriesMatrix(names=names, values=values.T)
 
 
-def save_csv(
-    matrix: SeriesMatrix,
-    path,
-    labels: np.ndarray | None = None,
-    label_column: str = "label",
-) -> None:
-    """Write a matrix (optionally with a 0/1 label column) as CSV.
+def save_csv(matrix: SeriesMatrix, path) -> None:
+    """Write a matrix as CSV.
 
     Reals are written with ``repr``, which round-trips float64 exactly, so
     ``load_csv(save_csv(m))`` reproduces ``m.values`` bit for bit.
     """
-    header, columns = list(matrix.names), list(matrix.values)
-    if labels is not None:
-        labels = as_labels(labels)
-        if labels.size != matrix.n_times:
-            raise ValueError("label length must match matrix T")
-        header.append(label_column)
-        columns.append(labels)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        write_table(fh, header, columns)
+        write_table(fh, list(matrix.names), list(matrix.values))
 
 
 # cells write_table formats at once: 4,096 rows of a three-column table

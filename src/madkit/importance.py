@@ -217,14 +217,6 @@ class Forest:
     q_features: int
     n_features: int
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Majority vote across trees; exact ties vote for class 1."""
-        features = np.asarray(features, dtype=np.float64)
-        votes = np.zeros(features.shape[0], dtype=np.int64)
-        for tree in self.trees:
-            votes += tree.predict(features)
-        return (2 * votes >= self.n_trees).astype(np.int8)
-
 
 def _gini(ones: float, total: float) -> float:
     p1 = ones / total

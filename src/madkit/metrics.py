@@ -25,10 +25,6 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 class AnomalyCluster(NamedTuple):
     """A maximal run of 1s: inclusive ``start .. end`` with its length."""

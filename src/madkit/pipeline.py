@@ -25,7 +25,6 @@ from .data import (
     DetectorModel,
     SeriesMatrix,
     SmoothConfig,
-    as_labels,
     load_csv,
     load_model,
     split as split_matrix,
@@ -156,12 +155,6 @@ class DetectionResult:
     scores: np.ndarray
     flags: np.ndarray
     time_offset: int
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.flags = as_labels(self.flags, "flags")
-        if self.scores.shape != self.flags.shape:
-            raise ValueError("scores and flags must have equal length")
 
 
 def load_matrix(source, label_column: str | None = None) -> SeriesMatrix:

@@ -1,14 +1,33 @@
-"""Slow oracles that more than one test file checks madkit against.
+"""Slow oracles that more than one test file checks madkit against, and
+the timing protocol of the speed gates.
 
-Each is a direct statement of its definition, independent of the code it
-checks.  The oracles that the benchmark also uses live in
+Each oracle is a direct statement of its definition, independent of the
+code it checks.  The oracles that the benchmark also uses live in
 ``perfbench/reference.py``.
 """
 
 import math
+import statistics
+import time
 from collections import Counter
 
 import numpy as np
+
+from calibrate import calibrate
+
+
+def time_over_calibration(run):
+    """``(result, seconds, ratio)``: the result of ``run()``, the faster of
+    two runs' times, and that time over the median of three
+    ``perfbench/calibrate.py`` runs, one before and one after each run, so
+    a drift in the machine's speed cancels."""
+    calibrations, times = [calibrate()], []
+    for _ in range(2):
+        t0 = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - t0)
+        calibrations.append(calibrate())
+    return result, min(times), min(times) / statistics.median(calibrations)
 
 
 def gpd_sample(rng, gamma, delta, size):

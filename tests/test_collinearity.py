@@ -1,8 +1,5 @@
 """VIF computation and iterative pruning."""
 
-import statistics
-import time
-
 import numpy as np
 import pytest
 
@@ -18,7 +15,7 @@ from madkit.smoothing import smooth_matrix
 from madkit.synthetic import CollinearGroup, SynthConfig, generate
 
 import reference  # reference._vifs: one lstsq regression per variable, the oracle
-from calibrate import calibrate
+from oracles import time_over_calibration
 
 # vif_prune's ceiling on 110 independent plus 40 mixed series (T = 3000),
 # over calibration time (see test_prune_time_relative_to_calibration).  On
@@ -427,21 +424,14 @@ def test_prune_names_a_variable_whose_scale_overflows(factor):
 def test_prune_time_relative_to_calibration():
     """Pruning 110 independent plus 40 mixed series (T = 3000) takes under
     ``PRUNE_CALIBRATION_RATIO`` times the machine's current calibration
-    time: the faster of two prunes over the median of three
-    ``perfbench/calibrate.py`` runs, one before and one after each prune."""
+    time (``oracles.time_over_calibration``)."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal((150, 3000))
     x[110:] = rng.standard_normal((40, 110)) @ x[:110] / np.sqrt(110) + 0.1 * x[110:]
-    calibrations, prunes = [calibrate()], []
-    for _ in range(2):
-        t0 = time.perf_counter()
-        report = vif_prune(x, 5.0)
-        prunes.append(time.perf_counter() - t0)
-        calibrations.append(calibrate())
+    report, seconds, ratio = time_over_calibration(lambda: vif_prune(x, 5.0))
     assert sorted(i for i, _ in report.removed) == list(range(110, 150))
     assert report.retained == list(range(110))
-    ratio = min(prunes) / statistics.median(calibrations)
-    detail = f"vif_prune {min(prunes):.3f}s, {ratio:.2f}x calibration"
+    detail = f"vif_prune {seconds:.3f}s, {ratio:.2f}x calibration"
     assert ratio < PRUNE_CALIBRATION_RATIO, detail
     print(detail)
 

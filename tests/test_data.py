@@ -26,6 +26,7 @@ from madkit.data import (
     save_csv,
     save_model,
     split,
+    write_table,
 )
 from madkit.scoring import ScatterFit
 
@@ -81,14 +82,6 @@ def test_matrix_rejects_infinity():
     values[0, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         SeriesMatrix(names=["a"], values=values)
-
-
-def test_matrix_select_reorders_rows():
-    m = make_matrix(n=3, t=5)
-    sub = m.select([2, 0])
-    assert sub.names == ["x2", "x0"]
-    assert np.array_equal(sub.values[0], m.values[2])
-    assert np.array_equal(sub.values[1], m.values[0])
 
 
 def test_matrix_slice_time_takes_columns():
@@ -158,7 +151,6 @@ def test_label_consumers_reject_non_binary(tmp_path, bad):
         lambda: confusion(good, bad),
         lambda: extract_clusters(bad),
         lambda: ric(bad, extract_clusters(good)),
-        lambda: save_csv(matrix, tmp_path / "m.csv", labels=bad),
         lambda: assemble_explain_dataset(matrix, bad, (0, 2)),
     ]
     for call in calls:
@@ -205,22 +197,22 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.values, m.values)
 
 
-def test_save_csv_rejects_labels_of_another_length(tmp_path):
-    m = make_matrix(n=2, t=20, seed=1)
-    path = tmp_path / "m.csv"
-    with pytest.raises(ValueError, match="label length must match matrix T"):
-        save_csv(m, path, labels=np.zeros(19, dtype=int))
-    assert not path.exists()
-
-
 def test_csv_round_trip_with_labels(tmp_path):
     m = make_matrix(n=2, t=20, seed=1)
     lv = (np.arange(20) % 3 == 0).astype(int)
     path = tmp_path / "m.csv"
-    save_csv(m, path, labels=lv)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write_table(fh, [*m.names, "label"], [*m.values, lv])
     back, labels2 = load_csv(path, label_column="label")
     assert np.array_equal(back.values, m.values)
     assert np.array_equal(labels2, lv)
+
+
+def test_write_table_rejects_columns_of_unequal_length():
+    fh = io.StringIO()
+    with pytest.raises(ValueError, match="write_table needs columns of one length"):
+        write_table(fh, ["a", "b"], [np.zeros(3), np.zeros(2)])
+    assert fh.getvalue() == ""
 
 
 def test_csv_bad_cell_is_located(tmp_path):

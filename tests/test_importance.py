@@ -1,8 +1,6 @@
 """Explanation stage: dataset assembly, random forest, logistic RCDE."""
 
 import math
-import statistics
-import time
 
 import numpy as np
 import pytest
@@ -32,7 +30,7 @@ from madkit.smoothing import SmoothConfig
 from madkit.thresholds import ThresholdSpec
 
 import reference
-from calibrate import calibrate
+from oracles import time_over_calibration
 from test_pipeline import separation_corpus
 
 # train_forest's ceiling at the explain_window bench's size, over
@@ -144,6 +142,21 @@ def test_dataset_single_class_error():
         make_dataset(np.zeros((4, 2)), [0, 0, 0, 0])
 
 
+BAD_SHAPES = {
+    "one-row": (np.zeros((1, 2)), [1], ["a", "b"], "at least two rows"),
+    "short-targets": (np.zeros((3, 2)), [0, 1], ["a", "b"], "one entry per row"),
+    "one-name": (np.zeros((3, 2)), [0, 1, 1], ["a"], "one name per feature"),
+}
+
+
+@pytest.mark.parametrize(
+    "features, targets, names, message", BAD_SHAPES.values(), ids=BAD_SHAPES.keys()
+)
+def test_dataset_rejects_mismatched_shapes(features, targets, names, message):
+    with pytest.raises(ValueError, match=message):
+        ExplainDataset(features, targets, names)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dataset_rejects_non_finite_features(bad):
     x = np.arange(12, dtype=np.float64).reshape(6, 2)
@@ -173,7 +186,6 @@ def test_forest_fits_separable_single_feature():
     y = (x[:, 0] > 0.5).astype(int)
     ds = make_dataset(x, y)
     forest = train_forest(ds, n_trees=25, seed=0)
-    assert np.array_equal(forest.predict(x), y)
     report = gini_importance(forest, ds)
     assert report.method == "rf-gini"
     assert report.ranking[0][0] == "f0"
@@ -184,6 +196,27 @@ def test_forest_oob_accuracy_on_planted_signal():
     ds = planted_dataset(seed=0)
     forest = train_forest(ds, n_trees=100, seed=0)
     assert oob_accuracy(forest, ds) >= 0.95
+
+
+def test_oob_accuracy_needs_an_out_of_bag_row():
+    ds = ExplainDataset([[0.0], [1.0]], [0, 1], ["a"])
+    forest = train_forest(ds, n_trees=1, seed=0)
+    with pytest.raises(ValueError, match="no row is out of bag; grow more trees"):
+        oob_accuracy(forest, ds)
+
+
+def test_oob_accuracy_votes_only_with_trees_that_left_the_row_out():
+    # at seed 2 one tree drew every row and row 0 is in every bag
+    ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
+    forest = train_forest(ds, n_trees=8, seed=2)
+    assert min(t.oob_indices.size for t in forest.trees) == 0
+    votes = {i: [] for i in range(4)}
+    for tree in forest.trees:
+        for i in tree.oob_indices.tolist():
+            votes[i].append(int(tree.predict(ds.features[i : i + 1])[0]))
+    right = [int(2 * sum(v) >= len(v)) == ds.targets[i] for i, v in votes.items() if v]
+    assert len(right) == 3
+    assert oob_accuracy(forest, ds) == sum(right) / len(right)
 
 
 def test_forest_importance_finds_planted_features():
@@ -212,12 +245,16 @@ def test_forest_defaults_match_contract():
 
 
 def test_forest_unsplittable_leaf_votes_class_one():
-    # identical rows with mixed labels cannot be split; ties go to class 1
+    # identical rows with mixed labels cannot be split, so each tree is
+    # one leaf that votes its majority; ties go to class 1
     x = np.zeros((4, 2))
     y = np.array([0, 0, 1, 1])
     ds = make_dataset(x, y)
     forest = train_forest(ds, n_trees=9, seed=0)
-    assert forest.predict(np.zeros((1, 2)))[0] == 1
+    assert any(2 * tree.count1[0] == tree.n_node[0] for tree in forest.trees)
+    for tree in forest.trees:
+        want = int(2 * tree.count1[0] >= tree.n_node[0])
+        assert tree.predict(np.zeros((1, 2)))[0] == want
 
 
 def test_forest_importances_are_nonnegative_and_normalized_scale():
@@ -559,23 +596,17 @@ def test_dense_ranks_share_ties_and_switch_width_past_65536_rows():
 def test_forest_time_relative_to_calibration():
     """100 trees on 2,200 x 38 rows, the explain_window bench's forest,
     train in under ``FOREST_CALIBRATION_RATIO`` times the machine's
-    current calibration time: the faster of two forests over the median
-    of three ``perfbench/calibrate.py`` runs, one before and one after
-    each forest, so a drift in the machine's speed cancels."""
+    current calibration time (``oracles.time_over_calibration``)."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2200, 38))
     x[:300, [3, 17, 25]] += 2.5  # a shifted window, flagged ~11% of rows
     score = x[:, [3, 17, 25]].sum(axis=1) + rng.standard_normal(2200)
     ds = make_dataset(x, (score > np.quantile(score, 0.89)).astype(int))
-    calibrations, forests = [calibrate()], []
-    for _ in range(2):
-        t0 = time.perf_counter()
-        forest = train_forest(ds, n_trees=100, seed=0)
-        forests.append(time.perf_counter() - t0)
-        calibrations.append(calibrate())
+    forest, seconds, ratio = time_over_calibration(
+        lambda: train_forest(ds, n_trees=100, seed=0)
+    )
     assert sum(t.feature.size for t in forest.trees) == 10_632
-    ratio = min(forests) / statistics.median(calibrations)
-    detail = f"forest {min(forests):.2f}s, {ratio:.2f}x calibration"
+    detail = f"forest {seconds:.2f}s, {ratio:.2f}x calibration"
     assert ratio < FOREST_CALIBRATION_RATIO, detail
     print(detail)
 

@@ -27,7 +27,6 @@ def test_confusion_frozen_example():
     truth = np.array([1, 0, 1, 1, 1, 0])
     c = confusion(pred, truth)
     assert (c.tp, c.fp, c.tn, c.fn) == (1, 1, 1, 3)
-    assert c.total == 6
 
 
 def test_precision_recall_f1_frozen():
@@ -102,6 +101,14 @@ def test_clusters_edges_and_degenerates():
     assert [(c.start, c.end, c.length) for c in full] == [(0, 6, 7)]
     single = extract_clusters(np.array([1, 0, 0, 0, 1]))
     assert [(c.start, c.end) for c in single] == [(0, 0), (4, 4)]
+
+
+def test_clusters_equal_only_sequences_and_name_their_records():
+    clusters = extract_clusters([0, 1, 1])
+    assert clusters.__eq__(5) is NotImplemented
+    assert (clusters == 5) is False
+    assert clusters == [AnomalyCluster(1, 2, 2)]
+    assert repr(clusters) == "ClusterColumns([AnomalyCluster(start=1, end=2, length=2)])"
 
 
 def test_clusters_match_brute_force():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from madkit.collinearity import center
+from madkit.collinearity import center, vif_prune
 from madkit.scoring import (
     EigenBasis,
     ScatterFit,
@@ -17,6 +17,8 @@ from madkit.scoring import (
     score,
     score_all,
 )
+from madkit.smoothing import SmoothConfig, smooth_series
+from madkit.thresholds import ThresholdSpec, fit_gpd, pot_threshold
 
 
 def manual_fit(sigma, mu=None):
@@ -202,6 +204,25 @@ def test_score_input_validation():
         score(fit, np.array([1.0, np.nan]))
     with pytest.raises(ValueError, match=r"\(2, T\)"):
         score_all(fit, np.zeros((3, 4)))
+
+
+SHAPE_ERRORS = {
+    "fit_scatter-1d": (lambda: fit_scatter(np.zeros(5)), "2-D"),
+    "smooth_series-2d": (
+        lambda: smooth_series(np.zeros((2, 5)), SmoothConfig(h=1)), "1-D"
+    ),
+    "fit_gpd-2d": (lambda: fit_gpd(np.ones((2, 20))), "1-D"),
+    "pot_threshold-empty": (
+        lambda: pot_threshold(np.array([]), ThresholdSpec("pot")), "non-empty 1-D"
+    ),
+    "vif_prune-3d": (lambda: vif_prune(np.zeros((2, 3, 4))), "2-D array"),
+}
+
+
+@pytest.mark.parametrize("call, message", SHAPE_ERRORS.values(), ids=SHAPE_ERRORS.keys())
+def test_stage_functions_reject_arrays_of_the_wrong_shape(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

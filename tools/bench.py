@@ -15,7 +15,10 @@ keeps the last two JSON lines of each run: the run record and the metrics
 * ``end_to_end``: the T = 0 run's metrics, with their units;
 * ``operations``: the count, median and interquartile range of the T = 0
   run's per-operation ``scaled_wall_s`` (seconds at the reference speed)
-  and ``peak_rss_mb``;
+  and ``peak_rss_mb``, and under ``second_run`` the same of the T = 1
+  run's untraced operations: a second process on the same tree, so the
+  two medians show how far one run sits from the next, which one run's
+  interquartile range understates;
 * ``per_layer``: the T = 1 run's metrics, with their units; layer times are
   raw seconds;
 * ``layer_scale``: the median of ``scaled_wall_s / wall_s`` over the T = 1
@@ -46,13 +49,26 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 
 
-def spread(values: list[float]) -> dict:
-    """Median and interquartile range of ``values``."""
+def spread(values: list[float]) -> dict | None:
+    """Median and interquartile range of ``values``; ``None`` if empty."""
+    if not values:
+        return None
     q1, median, q3 = (
         statistics.quantiles(values, n=4, method="inclusive")
         if len(values) > 1 else values * 3
     )
     return {"median": median, "iqr": q3 - q1}
+
+
+def summary(ops: list[dict]) -> dict:
+    """The count of ``ops`` and the spread of the timed ones' scaled wall
+    time and peak RSS."""
+    timed = [op for op in ops if "scaled_wall_s" in op]
+    return {
+        "count": len(ops),
+        "scaled_wall_s": spread([op["scaled_wall_s"] for op in timed]),
+        "peak_rss_mb": spread([op["peak_rss_mb"] for op in timed]),
+    }
 
 
 def run(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -82,7 +98,6 @@ def main(argv=None) -> int:
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        ops = [op for op in record["ops"] if "scaled_wall_s" in op]
         correct = plain["correct"] and traced["correct"]
         layer_scale = statistics.median(
             op["scaled_wall_s"] / op["wall_s"]
@@ -95,9 +110,10 @@ def main(argv=None) -> int:
             "inputs_sha256": record["inputs_sha256"],
             "end_to_end": plain["metrics"],
             "operations": {
-                "count": len(record["ops"]),
-                "scaled_wall_s": spread([op["scaled_wall_s"] for op in ops]),
-                "peak_rss_mb": spread([op["peak_rss_mb"] for op in ops]),
+                **summary(record["ops"]),
+                "second_run": summary(
+                    [op for op in traced_record["ops"] if not op["traced"]]
+                ),
             },
             "per_layer": traced["metrics"],
             "layer_scale": layer_scale,
