@@ -11,6 +11,7 @@ precision.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import warnings
@@ -269,22 +270,34 @@ def _parse_cells(rows, lines, names, path):
     return values
 
 
-def _read_body_fast(fh, usecols: list[int], width: int) -> np.ndarray | None:
-    """Parse columns ``usecols`` of the rest of ``fh`` with numpy's C reader.
+def _read_body_fast(
+    path, skiprows: int, usecols: list[int], width: int
+) -> np.ndarray | None:
+    """Parse columns ``usecols`` of file ``path`` after its first
+    ``skiprows`` lines with numpy's C reader.
 
     Returns the ``(T, len(usecols))`` body, or ``None`` when the csv-module
     path must decide instead: a cell numpy will not read (quoted, ``1_0``,
     Unicode digits, empty), a ragged or empty body, or a non-finite value.
     Every body this accepts, that path reads to the same bits.  numpy
     checks row widths only when it reads all ``width`` columns, so a caller
-    that drops one must have checked the widths itself.
+    that drops one must have checked the widths itself.  Given the path,
+    numpy reads the file in blocks, and given a bound on the rows, it
+    allocates the result once.
     """
+    # one more than the \n and \r bytes: never fewer than the lines numpy
+    # splits the file into, at \n, \r and \r\n
+    with open(path, "rb") as fh:
+        blocks = iter(functools.partial(fh.read, 1 << 16), b"")
+        lines = 1 + sum(b.count(b"\n") + b.count(b"\r") for b in blocks)
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "no data"
+            # "no data", and blank lines that do not count toward max_rows
+            warnings.simplefilter("ignore", UserWarning)
             values = np.loadtxt(
-                fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2,
-                usecols=None if len(usecols) == width else usecols,
+                str(path), delimiter=",", comments=None, dtype=np.float64,
+                ndmin=2, usecols=None if len(usecols) == width else usecols,
+                skiprows=skiprows, max_rows=lines - skiprows, encoding="utf-8",
             )
     except ValueError:
         return None
@@ -317,10 +330,11 @@ def load_csv(
     -----
     The label column, if any, is read first by :func:`load_labels`, with
     its checks and messages.  The other columns are parsed by
-    ``np.loadtxt``; a body it does not accept goes through the ``csv``
-    module, which reads it to the same bits or names the offending line
-    and cell.  Error messages give the file's own line numbers, blank
-    lines included.
+    ``np.loadtxt`` from the file's path, past the header's lines and into
+    one array of its final size; a body it does not accept goes through
+    the ``csv`` module, which reads it to the same bits or names the
+    offending line and cell.  Error messages give the file's own line
+    numbers, blank lines included.
     """
     path = Path(path)
     labels = None if label_column is None else load_labels(path, label_column)
@@ -330,7 +344,7 @@ def load_csv(
             header = _read_header(reader, path)
             keep = [c for c, name in enumerate(header) if name != label_column]
             names = [header[c] for c in keep]
-            values = _read_body_fast(fh, keep, len(header))
+            values = _read_body_fast(path, reader.line_num, keep, len(header))
             if values is not None:
                 return SeriesMatrix(names=names, values=values.T), labels
             fh.seek(0)

@@ -6,7 +6,9 @@ scoring applies the fitted model to the test block.  Each run produces a
 JSON-serializable report that records the step order, per-step wall-clock
 timings (training fit and test scoring separately), the pruning trace, and
 the threshold.  Reports are deterministic for fixed inputs and configuration
-except for the ``timing`` block.
+except for the ``timing`` block.  The test block is smoothed and scored in
+column blocks of the scoring solve's width, so no smoothed copy of it is
+held whole.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .importance import (
 )
 from .metrics import confusion, extract_clusters, f1, mcc, precision, recall, ric
 # the pipeline solves its own blocks in place, under the name perfbench traces
-from .scoring import _score_in_place as score_all, fit_scatter
+from .scoring import _SOLVE_COLUMNS, _score_in_place as score_all, fit_scatter
 from .smoothing import smooth_matrix
 from .thresholds import (
     ThresholdSpec,
@@ -57,6 +59,11 @@ STEP_ORDER = (
     "threshold",
     "flag",
 )
+
+# OpenBLAS's dgemv sums an array of 1 to 3 columns in another order than the
+# same columns viewed in a wider array, so a forward solve of a block that
+# narrow rounds differently from the whole-block solve's last sub-block
+_MIN_BLOCK = 4
 
 # step 5's rankings and the columns they are computed from
 IMPORTANCE_KINDS = ("rf", "lr", "both")
@@ -92,7 +99,7 @@ class PipelineError(RuntimeError):
 def _stage(stage: str, timings: dict | None = None, step: str | None = None):
     """Run a block as pipeline stage ``stage``.
 
-    The block's wall-clock time goes to ``timings[step or stage]``.  A
+    The block's wall-clock time is added to ``timings[step or stage]``.  A
     ``ValueError`` or ``RuntimeError`` raised in it becomes
     ``PipelineError(stage, exc)``, an ``OSError`` (a file that cannot be
     read or written) ``PipelineError("ingest", exc)``; a ``PipelineError``
@@ -107,7 +114,8 @@ def _stage(stage: str, timings: dict | None = None, step: str | None = None):
         failed = "ingest" if isinstance(exc, OSError) else stage
         raise PipelineError(failed, exc) from exc
     if timings is not None:
-        timings[step or stage] = time.perf_counter() - t0
+        key = step or stage
+        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
 
 
 @dataclass
@@ -263,10 +271,15 @@ def apply_detector(
 
     The test variables must match the model's in count and, when the model
     knows their names, in name and order.  The info dict holds the
-    per-step timings and, under ``"smoothed"``, the smoothed test block.
-    As in :func:`fit_detector`, the raw block is let go once smoothed.
+    per-step timings, each summed over the column blocks that are smoothed
+    and scored in turn: no smoothed copy of the whole test block is made,
+    and ``test`` is never written.
     """
-    timings: dict[str, float] = {}
+    _check_variables(model, test)
+    return _detect(model, test, model.smooth)
+
+
+def _check_variables(model: DetectorModel, test: SeriesMatrix) -> None:
     with _stage("score"):
         if test.n_vars != model.n_original:
             raise ValueError(
@@ -279,19 +292,40 @@ def apply_detector(
                 f"test variable {i} is {test.names[i]!r}, but the model "
                 f"was fitted with {model.names[i]!r} there"
             )
-    with _stage("smooth", timings):
-        smoothed = smooth_matrix(test, model.smooth)
-    del test
-    with _stage("score", timings):
-        reduced = smoothed.values[model.retained]
-        reduced -= model.scatter.mu[:, None]
-        scores = score_all(model.scatter, reduced)
+
+
+def _detect(
+    model: DetectorModel, test: SeriesMatrix, smooth: SmoothConfig | None
+) -> tuple[DetectionResult, dict]:
+    """:func:`apply_detector` on ``test`` smoothed with ``smooth``, or
+    already smoothed with the model's window when it is ``None``: blocks of
+    ``_SOLVE_COLUMNS`` scores, smoothed from views of all rows, are scored
+    and freed in turn, and keep the bits of one whole-block solve."""
+    timings: dict[str, float] = {}
+    width = 1 if smooth is None else smooth.h
+    # one block at least, so that a series too short to smooth fails there;
+    # a last block under _MIN_BLOCK columns joins the one before it, and the
+    # solve splits that block where a whole-block solve would
+    size = max(test.n_times - width + 1, 1)
+    edges = [*range(0, max(size - _MIN_BLOCK + 1, 1), _SOLVE_COLUMNS), size]
+    scores = np.empty(size)
+    for start, stop in zip(edges, edges[1:]):
+        block = test.values[:, start : stop + width - 1]
+        if smooth is not None:
+            with _stage("smooth", timings):
+                block = smooth_matrix(SeriesMatrix(test.names, block), smooth).values
+        with _stage("score", timings):
+            reduced = block[model.retained]
+            del block
+            reduced -= model.scatter.mu[:, None]
+            scores[start:stop] = score_all(model.scatter, reduced)
+            del reduced
     with _stage("score", timings, "flag"):
         flags = flag_scores(scores, model.k)
     result = DetectionResult(
         scores=scores, flags=flags, time_offset=model.smooth.h - 1
     )
-    return result, {"timing": timings, "smoothed": smoothed}
+    return result, {"timing": timings}
 
 
 def load_or_fit_model(cfg: PipelineConfig, path=None, train=None):
@@ -318,7 +352,9 @@ def run_detect(
 ) -> tuple[DetectorModel, DetectionResult, dict]:
     """Run the full detection pipeline from a configuration: check it, read
     and fit the train file, then read and score the test file, keeping no
-    block that the next step no longer needs (two (n, T) blocks at most)."""
+    block that the next step no longer needs (two (n, T) blocks at most,
+    while the train block is smoothed; the test side holds its raw block
+    and one column block of scoring)."""
     train, test = _resolve_data(cfg)
     model, fit_info = load_or_fit_model(cfg, train=train)
     del fit_info["smoothed"]  # not held while the test block is scored
@@ -397,8 +433,10 @@ def run_explain(
     (smoothed, unless ``cfg.step5_features == "raw"``), over the original
     pre-pruning variable set, with ``cfg.step5_extra`` known-normal rows
     from the end of the training block.  Each block is smoothed once: the
-    features reuse the blocks the fit and the scoring smoothed.  Files are
-    read in :func:`run_detect`'s order; a raw block is kept where they use it.
+    features reuse the block the fit smoothed, and the test block is
+    smoothed whole, its raw block let go, and scored as already smoothed.
+    Files are read in :func:`run_detect`'s order; a raw block is kept where
+    the features use it.
     """
     train, test = _resolve_data(cfg)
     if model is not None or cfg.step5_features == "raw":
@@ -406,17 +444,20 @@ def run_explain(
     fit_info = None
     if model is None:
         model, fit_info = load_or_fit_model(cfg, train=train)
-    if cfg.step5_features == "raw":
-        test = load_matrix(test, cfg.label_column)
-    result, score_info = apply_detector(model, load_matrix(test, cfg.label_column))
+    test = load_matrix(test, cfg.label_column)
     if cfg.step5_features == "smoothed":
-        feat_test = score_info["smoothed"]
+        _check_variables(model, test)
+        with _stage("smooth"):
+            feat_test = smooth_matrix(test, model.smooth)
+        del test
+        result, _ = _detect(model, feat_test, None)
         if fit_info is not None:
             feat_train = fit_info["smoothed"]
         else:
             with _stage("smooth"):
                 feat_train = smooth_matrix(train, model.smooth)
     else:
+        result, _ = apply_detector(model, test)
         # raw columns aligned to the smoothed timeline (window ends)
         h = model.smooth.h
         feat_test = test.slice_time(h - 1, test.n_times)

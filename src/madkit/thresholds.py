@@ -31,11 +31,12 @@ _GAMMA_ZERO = 1e-6
 # The profile likelihood is evaluated at this many points toward each of the
 # four ends of phi's two sides, the nearest a fraction _END_GAP of the
 # side's width from its end (and at most _END_GAP from phi = 0),
-# in blocks of at most _GRID_CELLS products theta * y.  Golden-section steps
+# in blocks of at most _GRID_CELLS products theta * y (128 KiB, or one row
+# when a row is longer), whose log1p is taken in place.  Golden-section steps
 # then shrink the best point's bracket by 0.618 each, to about 1e-13 of it.
 _POINTS_PER_END = 88
 _END_GAP = 1e-10
-_GRID_CELLS = 1 << 20
+_GRID_CELLS = 1 << 14
 _GOLDEN_STEPS = 60
 
 
@@ -107,10 +108,10 @@ def _profile(y: np.ndarray, phi: np.ndarray):
     y_max = y.max()
     theta = phi / y_max
     rows = max(1, _GRID_CELLS // y.size)
-    gamma = np.concatenate([
-        np.log1p(np.multiply.outer(theta[i : i + rows], y)).mean(axis=1)
-        for i in range(0, phi.size, rows)
-    ])
+    gamma = np.empty(phi.size)
+    for i in range(0, phi.size, rows):
+        block = np.multiply.outer(theta[i : i + rows], y)
+        gamma[i : i + rows] = np.log1p(block, out=block).mean(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(phi == 0.0, y.mean() / y_max, gamma / phi)
     loglik = -y.size * (np.log(scale) + gamma + 1.0)

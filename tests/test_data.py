@@ -293,6 +293,17 @@ CSV_CORPUS = {
     "crlf": ("a,b\r\n1,2\r\n3,4\r\n", None, (["a", "b"], [[1, 2], [3, 4]])),
     "bare_cr": ("a,b\r1,2\r3,4\r", None, (["a", "b"], [[1, 2], [3, 4]])),
     "no_final_newline": ("a,b\n1,2\n3,4", None, (["a", "b"], [[1, 2], [3, 4]])),
+    # the header's own lines are skipped, and the row bound counts every
+    # line end that numpy splits at
+    "quoted_header_lf": ('"a\nb",c\n1,2\n3,4\n', None, (["a\nb", "c"], [[1, 2], [3, 4]])),
+    "quoted_header_cr": ('"a\rb",c\n1,2\n3,4\n', None, (["a\rb", "c"], [[1, 2], [3, 4]])),
+    "mixed_line_ends": (
+        "a,b\r\n1,2\n\r\n3,4\r5,6\n", None, (["a", "b"], [[1, 2], [3, 4], [5, 6]]),
+    ),
+    "more_blank_lines_than_rows": (
+        "a,b\n\n\n\n1,2\n\n\n\n3,4\n\n\n", None, (["a", "b"], [[1, 2], [3, 4]]),
+    ),
+    "bare_cr_body": ("a,b\n1,2\r3,4\r5,6\n", None, (["a", "b"], [[1, 2], [3, 4], [5, 6]])),
     "quoted_cells": ('"a","b"\n1,"2"\n"3",4\n', None, (["a", "b"], [[1, 2], [3, 4]])),
     "underscore_digits": ("a\n1_0\n2\n", None, (["a"], [[10], [2]])),
     "padded_cells": ("a,b\n 1 ,2\n3,\t4\n", None, (["a", "b"], [[1, 2], [3, 4]])),
@@ -381,6 +392,44 @@ def test_csv_corpus(tmp_path, case):
     assert matrix.names == names
     assert np.array_equal(matrix.values, np.array(rows, dtype=float).T)
     assert (labels is None) == (label_column is None)
+
+
+# corpus files that numpy's reader must take, not leave to the csv module:
+# their header lines and line ends test its skiprows and max_rows
+ROW_BOUND_CASES = (
+    "bare_cr", "bare_cr_body", "blank_lines", "crlf", "mixed_line_ends",
+    "more_blank_lines_than_rows", "quoted_header_cr", "quoted_header_lf",
+)
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CORPUS))
+def test_csv_corpus_fast_reader_matches_csv_module(tmp_path, monkeypatch, case):
+    # numpy's reader, given the path, the header's line count and a bound
+    # on the rows, reads each file it takes as the csv-module reader does
+    text, label_column, _ = CSV_CORPUS[case]
+    path = tmp_path / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    taken = []
+    fast = data_module._read_body_fast
+
+    def spy(*args):
+        values = fast(*args)
+        taken.append(values is not None)
+        return values
+
+    def outcome():
+        try:
+            matrix, _ = load_csv(path, label_column=label_column)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return matrix.names, matrix.values.tobytes(), matrix.values.shape
+
+    monkeypatch.setattr(data_module, "_read_body_fast", spy)
+    got = outcome()
+    if case in ROW_BOUND_CASES:
+        assert taken == [True]
+    monkeypatch.setattr(data_module, "_read_body_fast", lambda *args: None)
+    assert got == outcome()
 
 
 LABEL_FILES = {

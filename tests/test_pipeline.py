@@ -38,9 +38,11 @@ from madkit.pipeline import (
     run_evaluate,
     run_explain,
 )
+from madkit.scoring import _SOLVE_COLUMNS
 from madkit.smoothing import SmoothConfig, align_labels, smooth_matrix
 from madkit.synthetic import AnomalySpec, CollinearGroup, SynthConfig, generate
-from madkit.thresholds import ThresholdSpec
+from madkit.thresholds import ThresholdSpec, flag
+from test_scoring import full_z_scores
 
 
 def corpus(seed=0, n=6, t_train=3000, t_test=800, anomalies=None, groups=()):
@@ -1050,6 +1052,73 @@ def test_fit_and_apply_give_the_same_bytes_from_a_kept_or_temporary_block(
     assert result.flags.tobytes() == result_t.flags.tobytes()
     assert np.array_equal(train.values, kept[0])
     assert np.array_equal(test.values, kept[1])
+
+
+def _block_model(kind, h, n=12, t=3000):
+    """A model fitted with a ``(kind, h)`` filter on random walks, two of
+    whose variables VIF pruning drops."""
+    rng = np.random.default_rng(h)
+    values = rng.standard_normal((n, t)).cumsum(axis=1) * 0.1
+    values += rng.standard_normal((n, t))
+    values[-2:] = values[:2] + values[2:4] + 1e-3 * rng.standard_normal((2, t))
+    names = [f"v{i}" for i in range(n)]
+    model, _ = fit_detector(SeriesMatrix(names, values), SmoothConfig(h, kind))
+    assert len(model.retained) < n
+    return model, names
+
+
+def _whole_block_outcome(model, test):
+    """Scores and flags bytes as one pass over the whole test block makes
+    them: smooth it, center its retained rows, solve them (the oracle); or
+    the message of the error smoothing raises."""
+    try:
+        smoothed = smooth_matrix(test, model.smooth)
+    except ValueError as exc:
+        return str(exc)
+    reduced = smoothed.values[model.retained] - model.scatter.mu[:, None]
+    _, scores = full_z_scores(model.scatter.chol, reduced)
+    return scores.tobytes(), flag(scores, model.k).tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("h", [1, 2, 5, 20])
+@pytest.mark.parametrize("kind", ["mean", "median"])
+def test_apply_detector_gives_the_whole_block_bits(kind, h, order):
+    # the test block is smoothed and scored in column blocks whose edges
+    # fall on the solve's own, from views of all rows: the scores and flags
+    # keep the bits of one whole-block pass, and the caller's matrix its own
+    model, names = _block_model(kind, h)
+    rng = np.random.default_rng(h + 100)
+    w = _SOLVE_COLUMNS
+    for length in (1, w - 1, w, w + 1, w + 3, 2 * w + 3, 1024 + 3):
+        if length + h - 1 < 2:
+            continue  # a SeriesMatrix has two columns at least
+        values = rng.standard_normal((len(names), length + h - 1)) * 1.5 + 0.2
+        test = SeriesMatrix(names, np.asarray(values, order=order))
+        kept = test.values.tobytes("A")
+        want = _whole_block_outcome(model, test)
+        try:
+            result, _ = apply_detector(model, test)
+            got = result.scores.tobytes(), result.flags.tobytes()
+        except PipelineError as exc:
+            assert exc.stage == "smooth"
+            got = str(exc.cause)
+        assert got == want, length
+        assert test.values.tobytes("A") == kept
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("kind", ["median", "mean"])
+def test_apply_detector_holds_no_smoothed_test_block(kind, order):
+    # beside the caller's test matrix, scoring holds the score vector and
+    # one column block of smoothing and solving: neither a smoothed copy of
+    # the whole block nor its retained rows
+    model, names = _block_model(kind, 5)
+    values = np.random.default_rng(5).standard_normal((len(names), 50_000))
+    test = SeriesMatrix(names, np.asarray(values, order=order))
+    del values
+    _, peak = _traced_peak(apply_detector, model, test)
+    assert peak < 0.5 * test.values.nbytes, peak / test.values.nbytes
 
 
 def test_cli_score_rejects_reordered_columns(tmp_path, capsys):

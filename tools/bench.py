@@ -13,12 +13,13 @@ keeps the last two JSON lines of each run: the run record and the metrics
 (see ``perfbench/README.md``).  The file holds, per workload:
 
 * ``end_to_end``: the T = 0 run's metrics, with their units;
-* ``operations``: the count, median and interquartile range of the T = 0
-  run's per-operation ``scaled_wall_s`` (seconds at the reference speed)
-  and ``peak_rss_mb``, and under ``second_run`` the same of the T = 1
-  run's untraced operations: a second process on the same tree, so the
-  two medians show how far one run sits from the next, which one run's
-  interquartile range understates;
+* ``operations``: the count of the T = 0 run's operations, the count of
+  its timed ones (``timed``), and their median and interquartile range of
+  per-operation ``scaled_wall_s`` (seconds at the reference speed) and
+  ``peak_rss_mb``, the range ``null`` under 4 timed operations; under
+  ``second_run`` the same of the T = 1 run's untraced operations: a
+  second process on the same tree, so the two medians show how far one
+  run sits from the next, which one run's interquartile range understates;
 * ``per_layer``: the T = 1 run's metrics, with their units; layer times are
   raw seconds;
 * ``layer_scale``: the median of ``scaled_wall_s / wall_s`` over the T = 1
@@ -50,22 +51,25 @@ WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 
 
 def spread(values: list[float]) -> dict | None:
-    """Median and interquartile range of ``values``; ``None`` if empty."""
+    """Median and interquartile range of ``values``; ``None`` if empty.  The
+    range is ``None`` under 4 values: quartiles of 2 or 3 samples say
+    nothing of the spread."""
     if not values:
         return None
-    q1, median, q3 = (
-        statistics.quantiles(values, n=4, method="inclusive")
-        if len(values) > 1 else values * 3
-    )
-    return {"median": median, "iqr": q3 - q1}
+    iqr = None
+    if len(values) >= 4:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        iqr = q3 - q1
+    return {"median": statistics.median(values), "iqr": iqr}
 
 
 def summary(ops: list[dict]) -> dict:
-    """The count of ``ops`` and the spread of the timed ones' scaled wall
-    time and peak RSS."""
+    """The count of ``ops``, the count of the timed ones, on which the
+    spreads rest, and the spread of their scaled wall time and peak RSS."""
     timed = [op for op in ops if "scaled_wall_s" in op]
     return {
         "count": len(ops),
+        "timed": len(timed),
         "scaled_wall_s": spread([op["scaled_wall_s"] for op in timed]),
         "peak_rss_mb": spread([op["peak_rss_mb"] for op in timed]),
     }
