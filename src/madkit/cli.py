@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    FILTER_KINDS, THRESHOLD_KINDS, load_labels, save_csv, save_model, split, write_table
+    FILTER_KINDS, THRESHOLD_KINDS, load_labels, load_model, save_csv, save_model,
+    split, write_table,
 )
 from .metrics import ClusterColumns
 from .pipeline import (
@@ -34,8 +35,8 @@ from .pipeline import (
     PipelineError,
     _stage,
     apply_detector,
+    fit_from_config,
     load_matrix,
-    load_or_fit_model,
     run_detect,
     run_evaluate,
     run_explain,
@@ -446,7 +447,7 @@ def _cmd_explain(cfg: PipelineConfig, options: dict) -> None:
     ignored = [f"--{k}" for k in fit if path and options[k] is not None]
     if ignored:  # the model file fixes steps 1-4
         raise ValueError(f"explain --model takes no fit options: {', '.join(ignored)}")
-    model = load_or_fit_model(cfg, path)[0] if path else None
+    model = load_model(path) if path else None
     reports = run_explain(cfg, model)
     payload = [
         {
@@ -531,7 +532,7 @@ def _cmd_fit(cfg: PipelineConfig, options: dict) -> None:
     out = options.get("out")
     if not out:
         raise ValueError("fit requires --out for the model file")
-    model, _ = load_or_fit_model(cfg, train=cfg.train)
+    model, _ = fit_from_config(cfg, cfg.train)
     save_model(model, out)
     print(
         f"fitted model on {model.n_original} variables "
@@ -541,7 +542,7 @@ def _cmd_fit(cfg: PipelineConfig, options: dict) -> None:
 
 
 def _cmd_score(cfg: PipelineConfig, options: dict) -> None:
-    model, _ = load_or_fit_model(cfg, options["model"])
+    model = load_model(options["model"])
     result, _ = apply_detector(model, load_matrix(cfg.data, cfg.label_column))
     out = options.get("out")
     if out:

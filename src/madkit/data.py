@@ -73,8 +73,8 @@ class SeriesMatrix:
         n, t = self.values.shape
         if n < 1:
             raise ValueError("need at least one variable")
-        if t < 2:
-            raise ValueError("need at least two observations")
+        if t < 1:
+            raise ValueError("need at least one observation")
         if len(self.names) != n:
             raise ValueError(f"{len(self.names)} names for {n} rows")
         if len(set(self.names)) != n:
@@ -270,6 +270,12 @@ def _parse_cells(rows, lines, names, path):
     return values
 
 
+def _file_matrix(names, values) -> SeriesMatrix:
+    if names and len(values) < 2:  # a file holds a series; a matrix may hold one window
+        raise ValueError("need at least two observations")
+    return SeriesMatrix(names=names, values=values.T)
+
+
 def _read_body_fast(
     path, skiprows: int, usecols: list[int], width: int
 ) -> np.ndarray | None:
@@ -346,7 +352,7 @@ def load_csv(
             names = [header[c] for c in keep]
             values = _read_body_fast(path, reader.line_num, keep, len(header))
             if values is not None:
-                return SeriesMatrix(names=names, values=values.T), labels
+                return _file_matrix(names, values), labels
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
@@ -362,7 +368,7 @@ def load_csv(
     _check_widths(rows, lines, len(header), path)
     # a label cell is "0" or "1", so it parses and never names an error
     values = _parse_cells(rows, lines, header, path).take(keep, axis=1)
-    return SeriesMatrix(names=names, values=values.T), labels
+    return _file_matrix(names, values), labels
 
 
 # bytes of a label file's body that load_labels reads at once
@@ -571,7 +577,7 @@ def load_headerless(path, name_prefix: str = "v") -> SeriesMatrix:
     names = [f"{name_prefix}{i + 1}" for i in range(len(rows[0]))]
     _check_widths(rows, lines, len(names), path)
     values = _parse_cells(rows, lines, names, path)
-    return SeriesMatrix(names=names, values=values.T)
+    return _file_matrix(names, values)
 
 
 def save_csv(matrix: SeriesMatrix, path) -> None:

@@ -25,10 +25,10 @@ from . import __version__ as _version
 from .collinearity import vif_prune
 from .data import (
     DetectorModel,
+    ModelFormatError,
     SeriesMatrix,
     SmoothConfig,
     load_csv,
-    load_model,
     split as split_matrix,
 )
 from .importance import (
@@ -102,8 +102,9 @@ def _stage(stage: str, timings: dict | None = None, step: str | None = None):
     The block's wall-clock time is added to ``timings[step or stage]``.  A
     ``ValueError`` or ``RuntimeError`` raised in it becomes
     ``PipelineError(stage, exc)``, an ``OSError`` (a file that cannot be
-    read or written) ``PipelineError("ingest", exc)``; a ``PipelineError``
-    from a nested stage passes through unchanged.
+    read or written) or a ``ModelFormatError`` (a model file that does not
+    load) ``PipelineError("ingest", exc)``; a ``PipelineError`` from a
+    nested stage passes through unchanged.
     """
     t0 = time.perf_counter()
     try:
@@ -111,7 +112,7 @@ def _stage(stage: str, timings: dict | None = None, step: str | None = None):
     except (ValueError, RuntimeError, OSError) as exc:
         if isinstance(exc, PipelineError):
             raise
-        failed = "ingest" if isinstance(exc, OSError) else stage
+        failed = "ingest" if isinstance(exc, (OSError, ModelFormatError)) else stage
         raise PipelineError(failed, exc) from exc
     if timings is not None:
         key = step or stage
@@ -245,6 +246,9 @@ def fit_detector(
         vif_trace=list(report.removed),
         names=list(smoothed.names),
     )
+    threshold_block = {"kind": model.threshold_kind, "k": model.k}
+    if gpd is not None:
+        threshold_block["gpd"] = asdict(gpd)
     info = {
         "vif": {
             "threshold": vif_threshold,
@@ -252,7 +256,7 @@ def fit_detector(
             "retained": [int(i) for i in report.retained],
             "final_vifs": [float(v) for v in report.final_vifs],
         },
-        "threshold": _threshold_block(model),
+        "threshold": threshold_block,
         "train_scores": {
             "count": int(train_scores.size),
             "max": float(train_scores.max()),
@@ -328,23 +332,12 @@ def _detect(
     return result, {"timing": timings}
 
 
-def load_or_fit_model(cfg: PipelineConfig, path=None, train=None):
-    """``(model, fit report)``: the model saved at ``path`` and ``None``
-    or, without a path, ``fit_detector``'s result on ``train`` (a matrix or
-    a CSV file) under ``cfg``'s smoothing, VIF and threshold settings."""
-    if path:
-        with _stage("ingest"):
-            return load_model(path), None
+def fit_from_config(cfg: PipelineConfig, train) -> tuple[DetectorModel, dict]:
+    """``fit_detector``'s result on ``train`` (a matrix or a CSV file)
+    under ``cfg``'s smoothing, VIF and threshold settings."""
     # passed by position: an *args tuple would keep a block read here alive
     smooth, vif, threshold = cfg.smooth, cfg.vif_threshold, cfg.threshold
     return fit_detector(load_matrix(train, cfg.label_column), smooth, vif, threshold)
-
-
-def _threshold_block(model: DetectorModel) -> dict:
-    block = {"kind": model.threshold_kind, "k": model.k}
-    if model.gpd is not None:
-        block["gpd"] = asdict(model.gpd)
-    return block
 
 
 def run_detect(
@@ -356,7 +349,7 @@ def run_detect(
     while the train block is smoothed; the test side holds its raw block
     and one column block of scoring)."""
     train, test = _resolve_data(cfg)
-    model, fit_info = load_or_fit_model(cfg, train=train)
+    model, fit_info = fit_from_config(cfg, train)
     del fit_info["smoothed"]  # not held while the test block is scored
     result, score_info = apply_detector(model, load_matrix(test, cfg.label_column))
     report = {
@@ -443,7 +436,7 @@ def run_explain(
         train = load_matrix(train, cfg.label_column)
     fit_info = None
     if model is None:
-        model, fit_info = load_or_fit_model(cfg, train=train)
+        model, fit_info = fit_from_config(cfg, train)
     test = load_matrix(test, cfg.label_column)
     if cfg.step5_features == "smoothed":
         _check_variables(model, test)

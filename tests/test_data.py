@@ -65,9 +65,11 @@ def test_matrix_rejects_1d_values():
         SeriesMatrix(names=["a"], values=np.zeros(5))
 
 
-def test_matrix_rejects_single_observation():
-    with pytest.raises(ValueError, match="two observations"):
-        SeriesMatrix(names=["a"], values=np.zeros((1, 1)))
+def test_matrix_accepts_one_observation_not_none():
+    # one column is one smoothing window's output; a file needs two rows
+    assert SeriesMatrix(names=["a"], values=np.zeros((1, 1))).n_times == 1
+    with pytest.raises(ValueError, match="need at least one observation"):
+        SeriesMatrix(names=["a"], values=np.zeros((1, 0)))
 
 
 def test_matrix_names_nonfinite_position():
@@ -808,6 +810,14 @@ def test_headerless_loader_rejects_a_file_of_blank_lines(tmp_path):
     path = tmp_path / "plain.txt"
     path.write_text("\n  \n\t\n", encoding="utf-8")
     with pytest.raises(CsvFormatError, match="no data rows"):
+        load_headerless(path)
+
+
+def test_headerless_loader_rejects_a_single_row(tmp_path):
+    # a file holds a series of two rows at least, as load_csv's do
+    path = tmp_path / "plain.txt"
+    path.write_text("\n1.0 2.0\n\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^need at least two observations$"):
         load_headerless(path)
 
 

@@ -998,24 +998,6 @@ def _random_walk_csvs(tmp_path, n, t):
     sys.version_info < (3, 11),
     reason="before 3.11 a caller's stack keeps its call arguments alive",
 )
-def test_run_detect_from_files_holds_three_blocks_at_most(tmp_path):
-    # the train file is fitted before the test file is read, and each step
-    # lets go of the block the next no longer needs: the live peak is the
-    # smoothed, centered and one temporary block of vif_prune (~3.2 blocks
-    # here, with the score vectors)
-    n, t = 12, 8000
-    train_csv, test_csv = _random_walk_csvs(tmp_path, n, t)
-    cfg = PipelineConfig(
-        train=train_csv, test=test_csv, smooth=SmoothConfig(h=5, kind="mean")
-    )
-    _, peak = _traced_peak(run_detect, cfg)
-    assert peak < 3.5 * n * t * 8, peak / (n * t * 8)
-
-
-@pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="before 3.11 a caller's stack keeps its call arguments alive",
-)
 def test_run_detect_from_files_holds_two_blocks_at_most(tmp_path):
     # vif_prune forms its Gram in one scratch block, only the retained rows
     # are centered, and scoring overwrites them: the live peak is the raw
@@ -1743,6 +1725,68 @@ def test_cli_explain_model_rejects_fit_options(tmp_path, capsys, extra, named):
     err = capsys.readouterr().err
     assert err == f"error [config]: explain --model takes no fit options: {named}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["format", "missing"])
+def test_cli_explain_model_fails_in_ingest_on_a_bad_model_file(
+    tmp_path, capsys, fault
+):
+    # a model file that does not load is an ingest failure in explain, as
+    # in score, and nothing is written
+    train_csv, test_csv, _ = write_corpus(tmp_path, seed=9)
+    model_path = tmp_path / "model.txt"
+    if fault == "format":
+        assert main(["fit", "--train", str(train_csv), "--out", str(model_path)]) == 0
+        text = model_path.read_text(encoding="utf-8")
+        model_path.write_text(text.replace("madkit-model v2", "madkit-model v9"))
+        cause = (
+            "unsupported model format 'madkit-model v9', "
+            "expected 'madkit-model v2'"
+        )
+    else:
+        cause = (
+            "cannot read model file: [Errno 2] No such file or directory: "
+            f"'{model_path}'"
+        )
+    out = tmp_path / "out.json"
+    argv = ["explain", "--model", str(model_path), "--train", str(train_csv)]
+    argv += ["--test", str(test_csv), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CODES["ingest"] == 10
+    assert capsys.readouterr().err == f"error [ingest]: {model_path}: {cause}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("h", [2, 5])
+def test_cli_scores_a_test_file_of_one_window(tmp_path, h):
+    # a test file exactly h rows long holds one full window: detect and
+    # score write one score, at the window's end h - 1
+    train_csv, test_csv, _ = write_corpus(tmp_path, seed=9)
+    short = tmp_path / "short.csv"
+    save_csv(load_csv(test_csv)[0].slice_time(0, h), short)
+    window = ["--smooth-window", str(h)]
+    model_path = tmp_path / "model.txt"
+    fit = ["fit", "--train", str(train_csv), *window, "--out", str(model_path)]
+    assert main(fit) == 0
+    runs = {
+        "detect": ["detect", "--train", str(train_csv), "--test", str(short), *window],
+        "score": ["score", "--model", str(model_path), "--data", str(short)],
+        "whole": ["score", "--model", str(model_path), "--data", str(test_csv)],
+    }
+    rows = {}
+    for name, argv in runs.items():
+        scores = tmp_path / f"{name}.csv"
+        flag = "--scores-out" if name == "detect" else "--out"
+        assert main([*argv, flag, str(scores)]) == 0, name
+        rows[name] = scores.read_text(encoding="utf-8").splitlines()
+    assert rows["detect"] == rows["score"]
+    header, row = rows["score"]
+    assert header == "timestamp,score,flag"
+    timestamp, score, flag = row.split(",")
+    first = rows["whole"][1].split(",")
+    assert timestamp == first[0] == str(h - 1)
+    assert float(score) == pytest.approx(float(first[1]), rel=1e-12)
+    assert flag == first[2]
 
 
 @pytest.mark.parametrize("fault", ["missing", "malformed"])
