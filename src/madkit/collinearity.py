@@ -51,13 +51,6 @@ class VifReport:
     gram: np.ndarray
     means: np.ndarray
 
-    def __post_init__(self):
-        self.final_vifs = np.asarray(self.final_vifs, dtype=np.float64)
-        if len(self.final_vifs) != len(self.retained):
-            raise ValueError("one final VIF per retained variable")
-        if set(i for i, _ in self.removed) & set(self.retained):
-            raise ValueError("removed and retained sets overlap")
-
 
 def center(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Subtract per-variable means.

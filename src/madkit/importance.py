@@ -175,7 +175,6 @@ class DecisionTree:
     decrease: np.ndarray
     seed: int
     oob_indices: np.ndarray
-    max_depth: int
     n_train: int
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -184,7 +183,7 @@ class DecisionTree:
         n = features.shape[0]
         node = np.zeros(n, dtype=np.int64)
         rows = np.arange(n)
-        for _ in range(self.max_depth + 1):
+        for _ in range(self.feature.size):
             feat = self.feature[node]
             active = feat >= 0
             if not active.any():
@@ -209,12 +208,9 @@ class DecisionTree:
 
 @dataclass
 class Forest:
-    """A bag of trees with the sampling parameters that grew them."""
+    """A bag of trees over ``n_features`` variables."""
 
     trees: list[DecisionTree]
-    n_trees: int
-    t_min: int
-    q_features: int
     n_features: int
 
 
@@ -319,27 +315,19 @@ def _grow_tree(
     yw = mult * targets
     counts = mult | yw << 32
 
-    feat_l, thr_l, left_l, right_l = [], [], [], []
-    n_l, c1_l, dec_l = [], [], []
+    nodes = []  # [feature, threshold, left, right, n_node, count1, decrease]
     stack = []
 
-    def new_node(rows, s, ones, depth):
-        feat_l.append(-1)
-        thr_l.append(0.0)
-        left_l.append(-1)
-        right_l.append(-1)
-        n_l.append(s)
-        c1_l.append(ones)
-        dec_l.append(0.0)
-        node_id = len(feat_l) - 1
+    def new_node(rows, s, ones):
+        nodes.append([-1, 0.0, -1, -1, s, ones, 0.0])
+        node_id = len(nodes) - 1
         if s > t_min and 0 < ones < s:
-            stack.append((node_id, rows, s, ones, depth))
+            stack.append((node_id, rows, s, ones))
         return node_id
 
-    max_depth = 0
-    new_node(np.flatnonzero(mult), n, int(yw.sum()), 0)
+    new_node(np.flatnonzero(mult), n, int(yw.sum()))
     while stack:
-        node_id, rows, s, ones, depth = stack.pop()
+        node_id, rows, s, ones = stack.pop()
         cols = rng.choice(p, size=q, replace=False)
         block = keys_t[cols].take(rows, axis=1)
         split = _best_split(block, counts, s, ones)
@@ -351,25 +339,21 @@ def _grow_tree(
         thr = (lo + hi) / 2.0
         if thr >= hi:  # midpoint rounded up to the right value
             thr = lo
-        feat_l[node_id] = feature
-        thr_l[node_id] = float(thr)
-        dec_l[node_id] = gain
-        depth += 1
-        max_depth = max(max_depth, depth)
-        left_l[node_id] = new_node(rows[: i + 1], n_left, ones_left, depth)
-        right_l[node_id] = new_node(rows[i + 1 :], s - n_left, ones - ones_left, depth)
+        left = new_node(rows[: i + 1], n_left, ones_left)
+        right = new_node(rows[i + 1 :], s - n_left, ones - ones_left)
+        nodes[node_id] = [feature, float(thr), left, right, s, ones, gain]
 
+    feature, threshold, left, right, n_node, count1, decrease = zip(*nodes)
     return DecisionTree(
-        feature=np.array(feat_l, dtype=np.int32),
-        threshold=np.array(thr_l),
-        left=np.array(left_l, dtype=np.int32),
-        right=np.array(right_l, dtype=np.int32),
-        n_node=np.array(n_l, dtype=np.int64),
-        count1=np.array(c1_l, dtype=np.int64),
-        decrease=np.array(dec_l),
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        n_node=np.array(n_node, dtype=np.int64),
+        count1=np.array(count1, dtype=np.int64),
+        decrease=np.array(decrease),
         seed=seed,
         oob_indices=oob,
-        max_depth=max_depth,
         n_train=n,
     )
 
@@ -420,13 +404,7 @@ def train_forest(
         _grow_tree(features_t, keys_t, data.targets, t_min, q_features, int(s))
         for s in np.random.SeedSequence(seed).generate_state(n_trees)
     ]
-    return Forest(
-        trees=trees,
-        n_trees=n_trees,
-        t_min=t_min,
-        q_features=q_features,
-        n_features=p,
-    )
+    return Forest(trees=trees, n_features=p)
 
 
 def gini_importance(forest: Forest, data: ExplainDataset) -> ImportanceReport:
@@ -436,7 +414,7 @@ def gini_importance(forest: Forest, data: ExplainDataset) -> ImportanceReport:
     total = np.zeros(forest.n_features)
     for tree in forest.trees:
         total += tree.importances(forest.n_features)
-    return _rank(data.feature_names, total / forest.n_trees, "rf-gini")
+    return _rank(data.feature_names, total / len(forest.trees), "rf-gini")
 
 
 def oob_accuracy(forest: Forest, data: ExplainDataset) -> float:

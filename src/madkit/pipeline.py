@@ -218,6 +218,11 @@ def fit_detector(
     timings: dict[str, float] = {}
     with _stage("smooth", timings):
         smoothed = smooth_matrix(train, smooth)
+        if smoothed.n_times < 2:
+            raise ValueError(
+                f"need at least {smooth.h + 1} training rows for window "
+                f"{smooth.h}, got {train.n_times}"
+            )
     del train
     with _stage("collinearity", timings, "vif_prune"):
         report = vif_prune(smoothed, vif_threshold)

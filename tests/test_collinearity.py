@@ -204,16 +204,6 @@ def test_prune_accepts_series_matrix():
     assert report.retained == [0, 1, 2]
 
 
-def test_report_validation():
-    from madkit.collinearity import VifReport
-
-    block = np.zeros((3, 4)), np.zeros(3)
-    with pytest.raises(ValueError, match="overlap"):
-        VifReport([(0, 10.0)], [0, 1], [1.0, 1.0], *block)
-    with pytest.raises(ValueError, match="per retained"):
-        VifReport([], [0, 1], [1.0], *block)
-
-
 def separate_block_prune(values, threshold):
     """``vif_prune`` as it was before it formed the Gram in one scratch
     block: centered, squared and scaled blocks of their own (the oracle)."""

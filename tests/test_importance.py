@@ -239,9 +239,13 @@ def test_forest_deterministic_for_fixed_seed():
 def test_forest_defaults_match_contract():
     ds = planted_dataset(seed=3, n=120, p=9)
     forest = train_forest(ds)
-    assert forest.n_trees == 100
-    assert forest.t_min == 2
-    assert forest.q_features == 3  # floor(sqrt(9))
+    assert len(forest.trees) == 100
+    # t_min = 2 and q = floor(sqrt(9)) = 3 grow the same trees
+    explicit = train_forest(ds, n_trees=100, t_min=2, q_features=3)
+    for tree, want in zip(forest.trees, explicit.trees, strict=True):
+        for name in TREE_ARRAYS:
+            got, exp = getattr(tree, name), getattr(want, name)
+            assert (got.dtype, got.tobytes()) == (exp.dtype, exp.tobytes()), name
 
 
 def test_forest_unsplittable_leaf_votes_class_one():
@@ -255,6 +259,33 @@ def test_forest_unsplittable_leaf_votes_class_one():
     for tree in forest.trees:
         want = int(2 * tree.count1[0] >= tree.n_node[0])
         assert tree.predict(np.zeros((1, 2)))[0] == want
+
+
+def _walk_to_leaf_vote(tree, x):
+    """The class one row gets by walking its tree from the root in Python."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return int(2 * tree.count1[node] >= tree.n_node[node])
+
+
+def _depth(tree, node=0):
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
+
+
+@pytest.mark.parametrize("t_min", [2, 2000])
+def test_tree_predict_matches_a_root_to_leaf_walk(t_min):
+    # t_min = 2000 keeps every tree to its root leaf
+    ds = planted_dataset(seed=9)
+    forest = train_forest(ds, n_trees=5, t_min=t_min, seed=3)
+    depths = [_depth(t) for t in forest.trees]
+    assert (min(depths) > 1) if t_min == 2 else (max(depths) == 0)
+    for tree in forest.trees:
+        want = [_walk_to_leaf_vote(tree, x) for x in ds.features]
+        assert tree.predict(ds.features).tolist() == want
 
 
 def test_forest_importances_are_nonnegative_and_normalized_scale():
@@ -327,11 +358,9 @@ def _reference_grow_tree(features, targets, t_min, q, seed):
         dec_l.append(0.0)
         return len(feat_l) - 1
 
-    max_depth = 0
-    stack = [(new_node(), np.arange(n), 0)]
+    stack = [(new_node(), np.arange(n))]
     while stack:
-        node_id, idx, depth = stack.pop()
-        max_depth = max(max_depth, depth)
+        node_id, idx = stack.pop()
         s = idx.size
         ones = int(y[idx].sum())
         gini = _gini(ones, s)
@@ -352,8 +381,8 @@ def _reference_grow_tree(features, targets, t_min, q, seed):
         right_id = new_node()
         left_l[node_id] = left_id
         right_l[node_id] = right_id
-        stack.append((left_id, idx[go_left], depth + 1))
-        stack.append((right_id, idx[~go_left], depth + 1))
+        stack.append((left_id, idx[go_left]))
+        stack.append((right_id, idx[~go_left]))
 
     return DecisionTree(
         feature=np.array(feat_l, dtype=np.int32),
@@ -365,7 +394,6 @@ def _reference_grow_tree(features, targets, t_min, q, seed):
         decrease=np.array(dec_l),
         seed=seed,
         oob_indices=oob,
-        max_depth=max_depth,
         n_train=n,
     )
 
@@ -389,7 +417,6 @@ def assert_matches_reference(ds, n_trees=10, t_min=2, q_features=None, seed=0):
             got, want = getattr(tree, name), getattr(ref, name)
             assert np.array_equal(got, want), name
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
-        assert tree.max_depth == ref.max_depth
         assert (tree.seed, tree.n_train) == (ref.seed, ref.n_train)
     return forest
 
@@ -457,7 +484,7 @@ def test_forest_matches_reference_where_drawn_columns_are_all_tied():
     y = rng.integers(0, 2, 300)
     forest = assert_matches_reference(make_dataset(x, y), n_trees=10)
     stuck = [
-        (t.feature < 0) & (t.n_node > forest.t_min)
+        (t.feature < 0) & (t.n_node > 2)  # t_min = 2
         & (t.count1 > 0) & (t.count1 < t.n_node)
         for t in forest.trees
     ]
@@ -473,8 +500,7 @@ def test_forest_matches_reference_with_a_constant_column():
 
 def test_forest_matches_reference_on_one_feature():
     ds = planted_dataset(seed=5, n=600, p=1, informative=(0,))
-    forest = assert_matches_reference(ds)
-    assert forest.q_features == 1
+    assert_matches_reference(ds)
 
 
 def test_forest_matches_reference_when_every_node_sees_every_feature():

@@ -1,5 +1,5 @@
-"""The package root's export table, ``madkit.__all__``, and the packaging
-metadata in ``pyproject.toml``."""
+"""The package root's export table, ``madkit.__all__``, the packaging
+metadata in ``pyproject.toml`` and the line width of the sources."""
 
 import importlib
 import pkgutil
@@ -66,3 +66,16 @@ def test_build_requirement_admits_the_installed_setuptools():
     requirement = requirements.Requirement(wanted)
     assert requirement.name == "setuptools"
     assert requirement.specifier.contains(setuptools.__version__)
+
+
+def test_source_lines_fit_88_columns():
+    package = Path(__file__).resolve().parents[1] / "src" / "madkit"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    long = [
+        f"{path.name}:{number}"
+        for path in sources
+        for number, line in enumerate(path.read_text("utf-8").splitlines(), 1)
+        if len(line) > 88
+    ]
+    assert not long, f"lines over 88 columns: {long}"

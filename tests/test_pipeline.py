@@ -1789,6 +1789,32 @@ def test_cli_scores_a_test_file_of_one_window(tmp_path, h):
     assert flag == first[2]
 
 
+@pytest.mark.parametrize("h", [2, 5])
+def test_cli_rejects_a_training_file_of_one_window(tmp_path, capsys, h):
+    # a training file exactly h rows long smooths to one column, which no
+    # scatter is fitted on: fit and detect fail in smooth and name the
+    # rows needed, and one row more fits
+    lines = ["a,b\n"] + [f"{v}.0,{(v * 7) % 13}.0\n" for v in range(h + 1)]
+    short, enough = tmp_path / "short.csv", tmp_path / "enough.csv"
+    short.write_text("".join(lines[:-1]), encoding="utf-8")
+    enough.write_text("".join(lines), encoding="utf-8")
+    window = ["--smooth-window", str(h)]
+    want = (
+        f"error [smooth]: need at least {h + 1} training rows for window {h}, "
+        f"got {h}\n"
+    )
+    capsys.readouterr()
+    for train, code in [(short, EXIT_CODES["smooth"]), (enough, 0)]:
+        model = tmp_path / "model.txt"
+        fit = ["fit", "--train", str(train), *window, "--out", str(model)]
+        detect = ["detect", "--train", str(train), "--test", str(enough), *window]
+        detect += ["--out", str(tmp_path / "detect.json")]
+        for argv in (fit, detect):
+            assert main(argv) == code, argv[0]
+            assert capsys.readouterr().err == (want if code else ""), argv[0]
+    assert EXIT_CODES["smooth"] == 11
+
+
 @pytest.mark.parametrize("fault", ["missing", "malformed"])
 @pytest.mark.parametrize(
     "command", ["detect", "explain", "explain-raw", "explain-model"]
