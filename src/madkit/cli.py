@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -323,19 +324,32 @@ def _emit(payload: dict | list, out: str | None) -> None:
 
 
 def _json_pieces(payload: dict | list):
-    """``json.dumps(payload, indent=2) + "\\n"`` as ASCII bytes, in pieces.
+    """``json.dumps(payload, indent=2) + "\\n"`` as ASCII bytes, in pieces,
+    with each non-finite float spelled as a model file spells it, as the
+    string ``"inf"``, ``"-inf"`` or ``"nan"``: JSON has no such number.
     A ``clusters`` member holding :class:`ClusterColumns` is dumped as a
     placeholder, and the list of its ``{"start", "end", "length"}`` records
     is rendered in its place from the columns (:func:`_cluster_records`)."""
     clusters = payload.get("clusters") if isinstance(payload, dict) else None
     if not isinstance(clusters, ClusterColumns):
-        yield (json.dumps(payload, indent=2) + "\n").encode()
+        yield (json.dumps(_spelled(payload), indent=2) + "\n").encode()
         return
-    text = json.dumps({**payload, "clusters": "\0"}, indent=2)
+    text = json.dumps(_spelled({**payload, "clusters": "\0"}), indent=2)
     head, tail = text.split(_CLUSTERS_SPLICE, 1)
     yield (head + '"clusters": [').encode()
     yield from _cluster_records(clusters)
     yield (("\n  ]" if clusters else "]") + tail + "\n").encode()
+
+
+def _spelled(value):
+    """``value`` with each non-finite float in it, at any depth, as its ``str``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, dict):
+        return {key: _spelled(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spelled(item) for item in value]
+    return value
 
 
 def _cluster_records(clusters: ClusterColumns):
@@ -469,7 +483,9 @@ def _read_label_column(path, column: str) -> np.ndarray:
 def _cmd_evaluate(cfg: PipelineConfig, options: dict) -> None:
     pred = _read_label_column(options["pred"], options["pred-column"] or "flag")
     truth = _read_label_column(options["truth"], options["truth-column"] or "label")
-    block = run_evaluate(pred, align_labels(truth, cfg.smooth.h), cfg.min_cluster_len)
+    with _stage("evaluate"):
+        truth = align_labels(truth, cfg.smooth.h)
+    block = run_evaluate(pred, truth, cfg.min_cluster_len)
     _emit(block, options.get("out"))
 
 

@@ -284,11 +284,16 @@ def apply_detector(
     and scored in turn: no smoothed copy of the whole test block is made,
     and ``test`` is never written.
     """
-    _check_variables(model, test)
-    return _detect(model, test, model.smooth)
+    return _detect(model, test)
 
 
-def _check_variables(model: DetectorModel, test: SeriesMatrix) -> None:
+def _detect(
+    model: DetectorModel, test: SeriesMatrix, out: np.ndarray | None = None
+) -> tuple[DetectionResult, dict]:
+    """:func:`apply_detector`, which also copies each smoothed column block
+    into ``out`` when it is given: blocks of ``_SOLVE_COLUMNS`` scores,
+    smoothed from views of all rows, are scored and freed in turn, and keep
+    the bits of one whole-block solve."""
     with _stage("score"):
         if test.n_vars != model.n_original:
             raise ValueError(
@@ -301,28 +306,20 @@ def _check_variables(model: DetectorModel, test: SeriesMatrix) -> None:
                 f"test variable {i} is {test.names[i]!r}, but the model "
                 f"was fitted with {model.names[i]!r} there"
             )
-
-
-def _detect(
-    model: DetectorModel, test: SeriesMatrix, smooth: SmoothConfig | None
-) -> tuple[DetectionResult, dict]:
-    """:func:`apply_detector` on ``test`` smoothed with ``smooth``, or
-    already smoothed with the model's window when it is ``None``: blocks of
-    ``_SOLVE_COLUMNS`` scores, smoothed from views of all rows, are scored
-    and freed in turn, and keep the bits of one whole-block solve."""
     timings: dict[str, float] = {}
-    width = 1 if smooth is None else smooth.h
+    h = model.smooth.h
     # one block at least, so that a series too short to smooth fails there;
     # a last block under _MIN_BLOCK columns joins the one before it, and the
     # solve splits that block where a whole-block solve would
-    size = max(test.n_times - width + 1, 1)
+    size = max(test.n_times - h + 1, 1)
     edges = [*range(0, max(size - _MIN_BLOCK + 1, 1), _SOLVE_COLUMNS), size]
     scores = np.empty(size)
     for start, stop in zip(edges, edges[1:]):
-        block = test.values[:, start : stop + width - 1]
-        if smooth is not None:
-            with _stage("smooth", timings):
-                block = smooth_matrix(SeriesMatrix(test.names, block), smooth).values
+        block = test.values[:, start : stop + h - 1]
+        with _stage("smooth", timings):
+            block = smooth_matrix(SeriesMatrix(test.names, block), model.smooth).values
+        if out is not None:
+            out[:, start:stop] = block
         with _stage("score", timings):
             reduced = block[model.retained]
             del block
@@ -331,9 +328,7 @@ def _detect(
             del reduced
     with _stage("score", timings, "flag"):
         flags = flag_scores(scores, model.k)
-    result = DetectionResult(
-        scores=scores, flags=flags, time_offset=model.smooth.h - 1
-    )
+    result = DetectionResult(scores=scores, flags=flags, time_offset=h - 1)
     return result, {"timing": timings}
 
 
@@ -431,8 +426,8 @@ def run_explain(
     (smoothed, unless ``cfg.step5_features == "raw"``), over the original
     pre-pruning variable set, with ``cfg.step5_extra`` known-normal rows
     from the end of the training block.  Each block is smoothed once: the
-    features reuse the block the fit smoothed, and the test block is
-    smoothed whole, its raw block let go, and scored as already smoothed.
+    features reuse the block the fit smoothed, or smooth only the train
+    columns they read, and keep the test columns that scoring smoothed.
     Files are read in :func:`run_detect`'s order; a raw block is kept where
     the features use it.
     """
@@ -443,21 +438,22 @@ def run_explain(
     if model is None:
         model, fit_info = fit_from_config(cfg, train)
     test = load_matrix(test, cfg.label_column)
+    h = model.smooth.h
     if cfg.step5_features == "smoothed":
-        _check_variables(model, test)
-        with _stage("smooth"):
-            feat_test = smooth_matrix(test, model.smooth)
+        smoothed = np.empty((test.n_vars, max(test.n_times - h + 1, 0)))
+        result, _ = _detect(model, test, smoothed)
+        feat_test = SeriesMatrix(test.names, smoothed)
         del test
-        result, _ = _detect(model, feat_test, None)
         if fit_info is not None:
             feat_train = fit_info["smoothed"]
         else:
+            # the last max(step5_extra, 1) windows, each smoothed on its own
+            tail = train.slice_time(-max(cfg.step5_extra, 1) - h + 1, train.n_times)
             with _stage("smooth"):
-                feat_train = smooth_matrix(train, model.smooth)
+                feat_train = smooth_matrix(tail, model.smooth)
     else:
         result, _ = apply_detector(model, test)
         # raw columns aligned to the smoothed timeline (window ends)
-        h = model.smooth.h
         feat_test = test.slice_time(h - 1, test.n_times)
         feat_train = train.slice_time(h - 1, train.n_times)
     window = cfg.step5_window or (0, feat_test.n_times)
@@ -467,7 +463,7 @@ def run_explain(
             feat_test,
             result.flags,
             window,
-            train_tail=feat_train if n_extra > 0 else None,
+            train_tail=feat_train,
             n_extra=n_extra,
         )
         # RCDE first: on a separable window it fails before a forest grows

@@ -895,6 +895,19 @@ def test_model_rejects_non_finite_threshold(k):
         )
 
 
+def test_model_rejects_an_empty_retained_set():
+    # a model that scores no variable gives every point distance 0
+    with pytest.raises(ValueError, match="model must retain at least one variable"):
+        DetectorModel(
+            retained=[],
+            smooth=SmoothConfig(1, "mean"),
+            scatter=ScatterFit(mu=np.zeros(2), sigma=np.eye(2)),
+            threshold_kind="mvt",
+            k=1.0,
+            vif_trace=[(0, 10.0), (1, 10.0)],
+        )
+
+
 def test_model_rejects_overlapping_trace():
     with pytest.raises(ValueError, match="overlap"):
         make_model(vif_trace=[(0, 9.0)])
@@ -1085,6 +1098,25 @@ def test_model_v2_file_is_frozen_byte_for_byte(tmp_path):
     assert np.array_equal(back.scatter.mu, model.scatter.mu)
     assert np.array_equal(back.scatter.sigma, model.scatter.sigma)
     assert back.gpd == model.gpd
+
+
+def test_cli_score_rejects_an_empty_mu_field(tmp_path, capsys):
+    # an empty field parses as no reals: a centre for none of the two
+    # retained variables, which the model refuses by name
+    from madkit.cli import main
+
+    path = tmp_path / "model.txt"
+    mu = "mu: 0.10000000000000001,-0.20000000000000001\n"
+    path.write_text(FROZEN_V2_MODEL.replace(mu, "mu:\n"), encoding="utf-8")
+    data = tmp_path / "data.csv"
+    values = np.arange(30.0).reshape(3, 10)
+    save_csv(SeriesMatrix(names=["flow,in", "temp", "p"], values=values), data)
+    capsys.readouterr()
+    assert main(["score", "--model", str(path), "--data", str(data)]) == 10
+    assert capsys.readouterr().err == (
+        f"error [ingest]: {path}: invalid model contents: "
+        "mu length must equal the variable count\n"
+    )
 
 
 @pytest.mark.parametrize("retained", ["0,,2", "0,2,", ",0,2"])

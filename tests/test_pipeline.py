@@ -275,6 +275,37 @@ def test_run_explain_smooths_each_block_once(
     assert len(smoothed) == calls
 
 
+@pytest.mark.parametrize("kind, h", [("median", 5), ("mean", 1), ("median", 20)])
+@pytest.mark.parametrize("n_extra", [0, 50, 5000])
+def test_run_explain_with_a_model_smooths_only_the_train_tail(
+    monkeypatch, kind, h, n_extra
+):
+    # each smoothed column is its own window of h raw ones, so the rows
+    # step 5 reads need only the last n_extra + h - 1 train columns (h at
+    # least, and the whole block when that is shorter)
+    train, test, _ = corpus(seed=11, t_train=1000, t_test=400)
+    cfg = PipelineConfig(
+        train=train, test=test, smooth=SmoothConfig(h=h, kind=kind), rf_trees=3,
+        step5_window=(150, 250), step5_extra=n_extra,
+    )
+    model, _ = fit_detector(train, cfg.smooth)
+    import madkit.pipeline
+
+    seen = []
+    smooth = madkit.pipeline.smooth_matrix
+
+    def recorded(matrix, config):
+        seen.append(matrix)
+        return smooth(matrix, config)
+
+    monkeypatch.setattr(madkit.pipeline, "smooth_matrix", recorded)
+    run_explain(cfg, model)
+    tail = seen[-1]
+    columns = min(max(n_extra, 1) + h - 1, train.n_times)
+    assert tail.n_times == columns
+    assert np.array_equal(tail.values, train.values[:, -columns:])
+
+
 def test_run_explain_zero_flag_window_fails():
     train, test, _ = corpus(seed=10, anomalies=())
     cfg = PipelineConfig(train=train, test=test, step5_window=(0, 50))
@@ -1351,6 +1382,87 @@ def test_cli_evaluate_length_mismatch(tmp_path, capsys):
     code = main(["evaluate", "--pred", str(pred), "--truth", str(truth)])
     assert code == EXIT_CODES["evaluate"]
     assert "does not match" in capsys.readouterr().err
+
+
+def test_cli_evaluate_names_the_evaluate_stage_for_a_short_truth(tmp_path, capsys):
+    # the truth is aligned to the smoothed timeline in stage evaluate
+    pred = tmp_path / "pred.csv"
+    truth = tmp_path / "truth.csv"
+    pred.write_text("flag\n0\n", encoding="utf-8")
+    truth.write_text("label\n0\n1\n", encoding="utf-8")
+    argv = ["evaluate", "--pred", str(pred), "--truth", str(truth)]
+    assert main([*argv, "--smooth-window", "3"]) == EXIT_CODES["evaluate"] == 17
+    assert capsys.readouterr().err == (
+        "error [evaluate]: label vector shorter than the window\n"
+    )
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("vif_threshold", [None, "inf"])
+def test_cli_reports_are_strict_json(tmp_path, capsys, vif_threshold):
+    # an exactly collinear pair has VIF inf; a report spells it as a
+    # model file does, "inf", since JSON has no Infinity
+    prefix = str(tmp_path / "c")
+    assert main([
+        "synth", "--n", "5", "--t-train", "600", "--t-test", "300",
+        "--collinear", "0:1", "--anomaly", "700:40:2,3:6.0", "--out", prefix,
+    ]) == 0
+    data = ["--train", f"{prefix}_train.csv", "--test", f"{prefix}_test.csv"]
+    if vif_threshold is not None:
+        data += ["--vif-threshold", vif_threshold]
+    scores = tmp_path / "scores.csv"
+    names = ("detect", "explain", "evaluate")
+    outs = {name: tmp_path / f"{name}.json" for name in names}
+    assert main([
+        "detect", *data, "--scores-out", str(scores), "--out", str(outs["detect"]),
+    ]) == 0
+    assert main([
+        "explain", *data, "--importance", "both", "--rf-trees", "5",
+        "--out", str(outs["explain"]),
+    ]) == 0
+    assert main([
+        "evaluate", "--pred", str(scores), "--truth", f"{prefix}_truth.csv",
+        "--out", str(outs["evaluate"]),
+    ]) == 0
+    reports = {
+        name: json.loads(
+            path.read_text(encoding="utf-8"), parse_constant=_refuse_constant
+        )
+        for name, path in outs.items()
+    }
+    vif = reports["detect"]["vif"]
+    assert vif["removed"] == [[0, "inf"]]
+    if vif_threshold is not None:
+        assert vif["threshold"] == reports["detect"]["config"]["vif_threshold"]
+        assert vif["threshold"] == "inf"
+    assert {rep["method"] for rep in reports["explain"]} == {"rf-gini", "lr-rcde"}
+    assert reports["evaluate"]["counts"]["tp"] > 0
+
+
+@pytest.mark.parametrize("command", ["detect", "explain"])
+def test_cli_names_the_score_stage_before_smoothing_a_short_test(
+    tmp_path, capsys, command
+):
+    # a test file shorter than the window and one variable short: the
+    # variables are checked before the block is smoothed
+    train_csv, test_csv, _ = write_corpus(tmp_path, seed=2)
+    short = tmp_path / "short.csv"
+    lines = test_csv.read_text(encoding="utf-8").splitlines()[:3]
+    short.write_text(
+        "".join(line.rsplit(",", 1)[0] + "\n" for line in lines), encoding="utf-8"
+    )
+    capsys.readouterr()
+    code = main([
+        command, "--train", str(train_csv), "--test", str(short),
+        "--smooth-window", "5",
+    ])
+    assert code == EXIT_CODES["score"] == 15
+    assert capsys.readouterr().err == (
+        "error [score]: model was fitted on 6 variables, test data has 5\n"
+    )
 
 
 def test_cli_explain(tmp_path):
